@@ -1,15 +1,17 @@
 package ringlang
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
 )
 
 // TestRecognizeBatchMatchesRecognize pins the facade-level batch contract:
-// RecognizeBatch returns, in order, exactly the reports per-word Recognize
-// calls produce — for every schedule and worker count.
+// Client.Batch returns, in word order, exactly the reports per-word
+// Client.Recognize calls produce — for every schedule and worker count.
 func TestRecognizeBatchMatchesRecognize(t *testing.T) {
+	ctx := context.Background()
 	words := []Word{
 		WordFromString("001122"),
 		WordFromString("010212"),
@@ -18,21 +20,30 @@ func TestRecognizeBatchMatchesRecognize(t *testing.T) {
 		WordFromString("001122001122"),
 	}
 	for _, schedule := range []string{"", "round-robin", "random", "concurrent"} {
-		opts := Options{Schedule: schedule, Seed: 9}
+		serial, err := NewClient("three-counters", "", WithSchedule(schedule), WithSeed(9))
+		if err != nil {
+			t.Fatalf("schedule %q: %v", schedule, err)
+		}
 		want := make([]*Report, len(words))
 		for i, w := range words {
-			r, err := Recognize("three-counters", "", w, opts)
-			if err != nil {
+			if want[i], err = serial.Recognize(ctx, w); err != nil {
 				t.Fatalf("schedule %q word %q: %v", schedule, w.String(), err)
 			}
-			want[i] = r
 		}
+		serial.Close()
 		for _, workers := range []int{0, 1, 3} {
-			opts.Workers = workers
-			got, err := RecognizeBatch("three-counters", "", words, opts)
+			client, err := NewClient("three-counters", "", WithSchedule(schedule), WithSeed(9), WithWorkers(workers))
 			if err != nil {
 				t.Fatalf("schedule %q workers=%d: %v", schedule, workers, err)
 			}
+			got := make([]*Report, len(words))
+			for i, r := range client.Batch(ctx, words) {
+				if r.Err != nil {
+					t.Fatalf("schedule %q workers=%d word %d: %v", schedule, workers, i, r.Err)
+				}
+				got[i] = r.Report
+			}
+			client.Close()
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("schedule %q workers=%d: batch reports differ from serial Recognize", schedule, workers)
 			}
@@ -41,16 +52,20 @@ func TestRecognizeBatchMatchesRecognize(t *testing.T) {
 }
 
 func TestRecognizeBatchErrors(t *testing.T) {
-	if _, err := RecognizeBatch("no-such-algorithm", "", []Word{WordFromString("01")}, Options{}); err == nil {
-		t.Error("unknown algorithm did not error")
+	if _, err := NewClient("no-such-algorithm", ""); !errors.Is(err, ErrUnknownAlgorithm) {
+		t.Errorf("unknown algorithm: %v", err)
 	}
-	words := []Word{WordFromString("001122"), nil}
-	_, err := RecognizeBatch("three-counters", "", words, Options{})
-	var bwe *BatchWordError
-	if !errors.As(err, &bwe) || bwe.Index != 1 {
-		t.Errorf("batch error does not name the failing word: %v", err)
+	client, err := NewClient("three-counters", "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, err := RecognizeBatch("three-counters", "", nil, Options{}); err != nil || len(got) != 0 {
-		t.Errorf("empty batch = %v, %v", got, err)
+	defer client.Close()
+	ctx := context.Background()
+	results := client.Batch(ctx, []Word{WordFromString("001122"), nil})
+	if results[0].Err != nil || results[1].Err == nil {
+		t.Errorf("the failing word should fail alone at its own index: %+v", results)
+	}
+	if got := client.Batch(ctx, nil); len(got) != 0 {
+		t.Errorf("empty batch = %v", got)
 	}
 }

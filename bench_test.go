@@ -186,13 +186,22 @@ func BenchmarkE8LineSimulation(b *testing.B) {
 }
 
 // BenchmarkE9Election — the [DKR] substrate: message complexity of election.
+// Hirschberg–Sinclair keeps many probes in flight at once, the one workload
+// on which the sharded engine's segment workers run in parallel, so it is
+// timed under both sequential and sharded, on seeded random identifiers at a
+// ring large enough to shard.
 func BenchmarkE9Election(b *testing.B) {
+	hsIDs := election.RandomIDs(1<<12, rand.New(rand.NewSource(1)))
 	protocols := []struct {
-		name string
-		p    election.Protocol
+		name   string
+		p      election.Protocol
+		ids    []uint64
+		engine ring.Engine
 	}{
-		{"chang-roberts-worst", election.ChangRoberts},
-		{"dkr-worst", election.DolevKlaweRodeh},
+		{"chang-roberts-worst", election.ChangRoberts, election.DescendingIDs(256), nil},
+		{"dkr-worst", election.DolevKlaweRodeh, election.DescendingIDs(256), nil},
+		{"hirschberg-sinclair/sequential", election.HirschbergSinclair, hsIDs, ring.NewSequentialEngine()},
+		{"hirschberg-sinclair/sharded", election.HirschbergSinclair, hsIDs, ring.NewShardedEngine()},
 	}
 	for _, proto := range protocols {
 		proto := proto
@@ -200,12 +209,12 @@ func BenchmarkE9Election(b *testing.B) {
 			var out *election.Outcome
 			var err error
 			for i := 0; i < b.N; i++ {
-				out, err = election.Run(proto.p, election.DescendingIDs(256), nil)
+				out, err = election.Run(proto.p, proto.ids, proto.engine)
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			n := 256.0
+			n := float64(len(proto.ids))
 			b.ReportMetric(float64(out.Stats.Messages)/(n*math.Log2(n)), "msgs/nlogn")
 		})
 	}

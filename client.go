@@ -113,8 +113,10 @@ func WithTrace(record bool) Option {
 // n processors, so large-ring runs proceed without growth reallocations. The
 // reservation applies to Recognize and to every pool worker Batch and Stream
 // fan words across. Values smaller than the actual ring are harmless: the run
-// grows past them as usual. Pair with WithSchedule("sharded") when sweeping
-// rings of 10^6 processors.
+// grows past them as usual. For the catalog's single-token recognizers this
+// is the whole large-ring story: with one message in flight,
+// WithSchedule("sharded") has nothing to run in parallel, and the E15 sweep
+// times it level with "sequential" up to 2^20 processors.
 func WithPresize(n int) Option {
 	return func(c *Client) { c.presize = n }
 }
@@ -141,8 +143,8 @@ func WithPrefixCache(maxBytes int64) Option {
 }
 
 // WithSharedPrefixCache attaches an existing prefix-checkpoint cache (see
-// NewPrefixCache), so many clients — e.g. a serving tier's per-algorithm
-// client pool — share one bytes budget and reuse each other's checkpoints.
+// NewPrefixCache), so many clients — e.g. one per algorithm of a sweep —
+// share one bytes budget and reuse each other's checkpoints.
 // Namespacing by (algorithm, language, schedule, ring size) is internal to
 // the cache; sharing it across unrelated clients is always sound. A nil
 // cache leaves the client uncached.
@@ -238,7 +240,7 @@ func (c *Client) acquirePool() (*exec.Pool, error) {
 // Recognize: racing calls either complete normally or report ErrClosed, never
 // panic. After Close every method reports ErrClosed (Batch and Stream as
 // per-word Results). Callers that build short-lived clients should Close them
-// to not accumulate idle worker goroutines; the deprecated v1 wrappers do.
+// to not accumulate idle worker goroutines.
 //
 // A Close racing a Stream waits only for the pool's work to finish, not for
 // the consumer to finish ranging: results already parked in the stream's

@@ -40,63 +40,6 @@ func bigWord(k int) Word {
 	return w
 }
 
-// TestClientMatchesV1Wrappers is the compatibility property test: across
-// every schedule (and seeds for the randomized one), the v2 Client produces
-// reports byte-identical to the v1 wrappers, for single runs and batches.
-func TestClientMatchesV1Wrappers(t *testing.T) {
-	ctx := context.Background()
-	words := testWords()
-	for _, schedule := range ScheduleNames() {
-		for _, seed := range []int64{0, 7} {
-			opts := Options{Schedule: schedule, Seed: seed}
-			client, err := NewClient("three-counters", "", WithSchedule(schedule), WithSeed(seed))
-			if err != nil {
-				t.Fatalf("schedule %q: %v", schedule, err)
-			}
-			if ScheduleDeliveryGuarantee(schedule) != DeliveryExactlyOnce {
-				// Both surfaces refuse a raw recognizer under weaker-than-
-				// exactly-once delivery with the same typed error.
-				_, v1Err := Recognize("three-counters", "", words[0], opts)
-				_, v2Err := client.Recognize(ctx, words[0])
-				if !errors.Is(v1Err, ErrDeliveryNotTolerated) || !errors.Is(v2Err, ErrDeliveryNotTolerated) {
-					t.Errorf("%q/%d: v1=%v v2=%v, want ErrDeliveryNotTolerated from both", schedule, seed, v1Err, v2Err)
-				}
-				for i, r := range client.Batch(ctx, words) {
-					if !errors.Is(r.Err, ErrDeliveryNotTolerated) {
-						t.Errorf("%q/%d batch word %d: %v, want ErrDeliveryNotTolerated", schedule, seed, i, r.Err)
-					}
-				}
-				continue
-			}
-			for _, w := range words {
-				v1, err := Recognize("three-counters", "", w, opts)
-				if err != nil {
-					t.Fatalf("v1 %q/%d on %q: %v", schedule, seed, w.String(), err)
-				}
-				v2, err := client.Recognize(ctx, w)
-				if err != nil {
-					t.Fatalf("v2 %q/%d on %q: %v", schedule, seed, w.String(), err)
-				}
-				if !reflect.DeepEqual(v1, v2) {
-					t.Errorf("%q/%d on %q: v1 and v2 reports differ:\n%+v\n%+v", schedule, seed, w.String(), v1, v2)
-				}
-			}
-			v1Batch, err := RecognizeBatch("three-counters", "", words, opts)
-			if err != nil {
-				t.Fatalf("v1 batch %q/%d: %v", schedule, seed, err)
-			}
-			for i, r := range client.Batch(ctx, words) {
-				if r.Err != nil {
-					t.Fatalf("v2 batch %q/%d word %d: %v", schedule, seed, i, r.Err)
-				}
-				if !reflect.DeepEqual(v1Batch[i], r.Report) {
-					t.Errorf("%q/%d word %d: batch reports differ", schedule, seed, i)
-				}
-			}
-		}
-	}
-}
-
 // TestClientBatchPerWordErrors pins the tentpole's no-fail-all contract: a
 // malformed word gets its own error and the surrounding words keep their
 // reports.
@@ -124,20 +67,6 @@ func TestClientBatchPerWordErrors(t *testing.T) {
 	}
 	if client.Batch(context.Background(), nil) != nil {
 		t.Error("empty batch should return nil")
-	}
-}
-
-// TestV1BatchStillFailsAll is the regression pin on the deprecated wrapper:
-// RecognizeBatch keeps the v1 all-or-nothing contract (first bad word fails
-// the call) even though the client underneath now reports per word.
-func TestV1BatchStillFailsAll(t *testing.T) {
-	words := []Word{WordFromString("001122"), nil, WordFromString("012")}
-	reports, err := RecognizeBatch("three-counters", "", words, Options{})
-	if err == nil {
-		t.Fatal("v1 batch with a malformed word did not fail")
-	}
-	if reports != nil {
-		t.Errorf("v1 failed batch must discard all reports, got %v", reports)
 	}
 }
 
@@ -222,17 +151,44 @@ func TestClientStreamEarlyBreak(t *testing.T) {
 	}
 }
 
-// TestClientStreamCancelMidway cancels the stream's context after the first
-// yield: the already-dispatched words finish or abort, the undispatched ones
-// report ErrCanceled, and every word is still yielded exactly once.
+// holdFirstRun is a test engine whose first run waits until its context is
+// canceled, then completes anyway; every later run is a plain sequential
+// one. It makes "one word completes, the rest are canceled" deterministic
+// instead of a race between the workers and the consumer. It waits on the
+// run's own context, the one the pool dispatches under: a canceled parent
+// closes its Done channel before it cancels the contexts derived from it.
+type holdFirstRun struct {
+	ring.Engine
+	started chan struct{} // closed when the first run begins
+	runs    atomic.Int64
+}
+
+func (e *holdFirstRun) Run(cfg ring.Config, nodes []ring.Node) (*ring.Result, error) {
+	if e.runs.Add(1) == 1 {
+		close(e.started)
+		<-cfg.Ctx.Done()
+		cfg.Ctx = nil // the held run completes despite the cancel
+	}
+	return e.Engine.Run(cfg, nodes)
+}
+
+// TestClientStreamCancelMidway cancels the stream's context while its first
+// word is running on the only worker: that word completes, the undispatched
+// ones report ErrCanceled, and every word is still yielded exactly once.
 func TestClientStreamCancelMidway(t *testing.T) {
 	const n = 48
-	client, err := NewClient("three-counters", "", WithWorkers(2))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	engine := &holdFirstRun{Engine: ring.NewSequentialEngine(), started: make(chan struct{})}
+	client, err := NewClientWith(core.NewThreeCounters(), WithWorkers(1), WithEngine(engine))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	defer client.Close()
+	go func() {
+		<-engine.started
+		cancel()
+	}()
 	words := make([]Word, n)
 	for i := range words {
 		words[i] = bigWord(24)
@@ -244,9 +200,6 @@ func TestClientStreamCancelMidway(t *testing.T) {
 		switch {
 		case r.Err == nil:
 			completed++
-			if completed == 1 {
-				cancel()
-			}
 		case errors.Is(r.Err, ErrCanceled):
 			if !errors.Is(r.Err, context.Canceled) {
 				t.Errorf("word %d: ErrCanceled result does not wrap context.Canceled: %v", i, r.Err)
@@ -264,8 +217,8 @@ func TestClientStreamCancelMidway(t *testing.T) {
 			t.Errorf("word %d yielded %d times", i, c)
 		}
 	}
-	if completed == 0 || canceled == 0 {
-		t.Errorf("completed=%d canceled=%d: cancel midway should leave both kinds", completed, canceled)
+	if completed != 1 || canceled != n-1 {
+		t.Errorf("completed=%d canceled=%d: cancel midway should complete the running word and cancel the %d others", completed, canceled, n-1)
 	}
 }
 
@@ -357,13 +310,6 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	if _, err := NewClient("parity-one-pass", "k=x"); !errors.Is(err, ErrUnknownLanguage) {
 		t.Errorf("malformed parity language: %v", err)
-	}
-	// The v1 wrappers surface the same sentinels.
-	if _, err := Recognize("no-such-algorithm", "", WordFromString("01"), Options{}); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Errorf("v1 unknown algorithm: %v", err)
-	}
-	if _, err := Recognize("three-counters", "", WordFromString("012"), Options{Schedule: "bogus"}); !errors.Is(err, ErrUnknownSchedule) {
-		t.Errorf("v1 unknown schedule: %v", err)
 	}
 }
 
@@ -512,18 +458,6 @@ func TestWithEngineLabel(t *testing.T) {
 	}
 	if report.Schedule != "concurrent" || !report.UsedConcurrentRun {
 		t.Errorf("report schedule/concurrent flag = %q/%v", report.Schedule, report.UsedConcurrentRun)
-	}
-}
-
-// TestV1BatchErrorFormat pins the v1 wrapper's error shape: package prefix
-// first, then the failing word, then the cause.
-func TestV1BatchErrorFormat(t *testing.T) {
-	_, err := RecognizeBatch("three-counters", "", []Word{WordFromString("001122"), nil}, Options{})
-	if err == nil {
-		t.Fatal("expected an error")
-	}
-	if got := err.Error(); len(got) < 9 || got[:9] != "ringlang:" {
-		t.Errorf("v1 batch error does not carry the package prefix: %q", got)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Command ringserve exposes the ringlang recognition engines over HTTP: the
 // serving tier of the reproduction, with a sharded memoization cache in
-// front of the Client worker pools.
+// front of one engine worker pool shared by every request.
 //
 // Usage:
 //
 //	ringserve                         # serve on :8420 with defaults
 //	ringserve -addr 127.0.0.1:9000    # pick the listen address
-//	ringserve -workers 0              # one engine worker per CPU (default)
+//	ringserve -workers 0              # shared engine workers, one per CPU (default)
 //	ringserve -cache 65536            # memo cache capacity in entries
 //	ringserve -cache -1               # disable memoization
 //	ringserve -cache-shards 64        # lock-splitting shard count
@@ -14,7 +14,6 @@
 //	ringserve -max-words 8192         # per-request batch/stream word cap
 //	ringserve -max-word 65536         # per-word letter cap (largest ring)
 //	ringserve -max-body 1048576       # request body byte cap
-//	ringserve -max-clients 64         # cached client pools, LRU-evicted
 //	ringserve -prefix-cache 33554432  # prefix-checkpoint cache bytes (-1 off)
 //	ringserve -drain 10s              # graceful-shutdown budget
 //	ringserve -lb-grace 3s            # healthz-drains-first window for LBs
@@ -29,7 +28,7 @@
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting, in-flight
 // requests get -drain to finish (their contexts cancel at the deadline, and
-// the engines abort with ErrCanceled), the Clients are closed, and the
+// the engines abort with ErrCanceled), the engine pool is closed, and the
 // process exits 0.
 package main
 
@@ -60,15 +59,14 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("ringserve", flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", ":8420", "listen address")
-		workers     = fs.Int("workers", 0, "engine workers per client pool (0 = one per CPU)")
+		workers     = fs.Int("workers", 0, "engine workers shared by all requests (0 = one per CPU)")
 		cache       = fs.Int("cache", server.DefaultCacheCapacity, "memo cache capacity in entries (negative disables)")
 		cacheShards = fs.Int("cache-shards", 0, "memo cache shards, rounded up to a power of two (0 = default)")
 		maxInflight = fs.Int("max-inflight", 0, "max concurrently served run requests before 429 (0 = 4x CPUs)")
 		maxWords    = fs.Int("max-words", server.DefaultMaxBatchWords, "max words per batch/stream request")
 		maxWord     = fs.Int("max-word", server.DefaultMaxWordLetters, "max letters per word (the largest ring a request may ask for)")
 		maxBody     = fs.Int64("max-body", server.DefaultMaxBodyBytes, "max request body bytes")
-		maxClients  = fs.Int("max-clients", server.DefaultMaxClients, "max cached (algorithm, language, schedule, seed) clients; LRU-evicted past it")
-		prefixCache = fs.Int64("prefix-cache", server.DefaultPrefixCacheBytes, "prefix-checkpoint cache budget in bytes, shared across all clients (negative disables); distinct words sharing prefixes resume from stored engine checkpoints")
+		prefixCache = fs.Int64("prefix-cache", server.DefaultPrefixCacheBytes, "prefix-checkpoint cache budget in bytes, shared by all requests (negative disables); distinct words sharing prefixes resume from stored engine checkpoints")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 		lbGrace     = fs.Duration("lb-grace", 0, "after SIGTERM, keep serving this long with /healthz answering 503 draining, so load balancers stop routing before the listener closes")
 	)
@@ -87,7 +85,6 @@ func run(args []string) error {
 		MaxBatchWords:    *maxWords,
 		MaxWordLetters:   *maxWord,
 		MaxBodyBytes:     *maxBody,
-		MaxClients:       *maxClients,
 		PrefixCacheBytes: *prefixCache,
 	})
 	// Request contexts descend from reqCtx, not the signal context: a

@@ -64,11 +64,15 @@ func ExampleClient_Stream() {
 	// Output: accept accept
 }
 
-// ExampleRecognize runs the Theorem 1 one-pass algorithm for a regular
-// language on a six-processor ring and prints the exact bit cost.
-func ExampleRecognize() {
-	report, err := ringlang.Recognize("regular-one-pass", "even-ones",
-		ringlang.WordFromString("011010"), ringlang.Options{})
+// ExampleClient_Recognize runs the Theorem 1 one-pass algorithm for a
+// regular language on a six-processor ring and prints the exact bit cost.
+func ExampleClient_Recognize() {
+	client, err := ringlang.NewClient("regular-one-pass", "even-ones")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer client.Close()
+	report, err := client.Recognize(context.Background(), ringlang.WordFromString("011010"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,12 +80,16 @@ func ExampleRecognize() {
 	// Output: verdict=reject bits=6 messages=6
 }
 
-// ExampleRecognize_nonRegular shows a non-regular language recognized with
-// counters: {0^k 1^k 2^k} costs Θ(n log n) bits, the minimum possible for any
-// non-regular language (Theorem 4).
-func ExampleRecognize_nonRegular() {
-	report, err := ringlang.Recognize("three-counters", "",
-		ringlang.WordFromString("000111222"), ringlang.Options{})
+// ExampleClient_Recognize_nonRegular shows a non-regular language recognized
+// with counters: {0^k 1^k 2^k} costs Θ(n log n) bits, the minimum possible
+// for any non-regular language (Theorem 4).
+func ExampleClient_Recognize_nonRegular() {
+	client, err := ringlang.NewClient("three-counters", "")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer client.Close()
+	report, err := client.Recognize(context.Background(), ringlang.WordFromString("000111222"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,14 +97,21 @@ func ExampleRecognize_nonRegular() {
 	// Output: verdict=accept member=true messages=9
 }
 
-// ExampleRecognize_quadratic shows the Section 7 note 1 language {wcw}: every
-// algorithm needs Ω(n²) bits, and the streaming comparison meets that bound.
-func ExampleRecognize_quadratic() {
-	accept, err := ringlang.Recognize("compare-wcw", "", ringlang.WordFromString("abcab"), ringlang.Options{})
+// ExampleClient_Recognize_quadratic shows the Section 7 note 1 language
+// {wcw}: every algorithm needs Ω(n²) bits, and the streaming comparison
+// meets that bound.
+func ExampleClient_Recognize_quadratic() {
+	client, err := ringlang.NewClient("compare-wcw", "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	reject, err := ringlang.Recognize("compare-wcw", "", ringlang.WordFromString("abcba"), ringlang.Options{})
+	defer client.Close()
+	ctx := context.Background()
+	accept, err := client.Recognize(ctx, ringlang.WordFromString("abcab"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	reject, err := client.Recognize(ctx, ringlang.WordFromString("abcba"))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -95,3 +95,47 @@ func TestNodeReuseStaysOnRebuildFloor(t *testing.T) {
 		t.Errorf("steady-state rebuild run allocates %.1f/op, want at most 1", reused)
 	}
 }
+
+// TestNodeReuseAlternatesKeysOnRebuildFloor pins the shape a shared pool
+// gives a worker: jobs of two recognizers at two ring sizes interleaved on
+// one NodeReuse and one run state. Every kept ring must be relabelled in
+// place, so each run stays on the rebuild floor instead of reconstructing
+// its nodes at every switch, and every run stays bit-identical to a fresh
+// one.
+func TestNodeReuseAlternatesKeysOnRebuildFloor(t *testing.T) {
+	recs := []Recognizer{NewMajority(), NewBalancedCounter()}
+	sizes := []int{1024, 2048}
+	rng := rand.New(rand.NewSource(11))
+	type input struct {
+		rec  Recognizer
+		word lang.Word
+	}
+	var inputs []input
+	for _, n := range sizes {
+		for _, rec := range recs {
+			inputs = append(inputs, input{rec, lang.RandomWord(rec.Language().Alphabet(), n, rng)})
+		}
+	}
+	opts := RunOptions{State: ring.NewRunStateSized(sizes[len(sizes)-1]), Reuse: NewNodeReuse()}
+	for _, in := range inputs {
+		fresh, err := Run(in.rec, in.word, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, err := Run(in.rec, in.word, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualResults(t, in.rec.Name()+" interleaved node reuse", fresh, reused)
+	}
+	perRun := testing.AllocsPerRun(10, func() {
+		for _, in := range inputs {
+			if _, err := Run(in.rec, in.word, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / float64(len(inputs))
+	if perRun > 1 {
+		t.Errorf("interleaved rebuild runs allocate %.2f/op, want at most 1 (the single-key floor)", perRun)
+	}
+}

@@ -69,10 +69,10 @@ type RunOptions struct {
 	// identical either way.
 	Prefix *PrefixCache
 	// Reuse, when non-nil, reuses node construction across runs: when the
-	// same recognizer runs on same-length words back to back and supports
-	// in-place relabelling (NodeRebuilder — every token recognizer does),
-	// the previous run's ring is relabelled instead of reallocated. Like
-	// State, a NodeReuse belongs to one worker at a time.
+	// recognizer supports in-place relabelling (NodeRebuilder — every token
+	// recognizer does) and one of the few rings Reuse keeps was built by the
+	// same recognizer at the same length, that ring is relabelled instead of
+	// reallocated. Like State, a NodeReuse belongs to one worker at a time.
 	Reuse *NodeReuse
 	// AllowFaults lets the run proceed when the engine's delivery guarantee
 	// is weaker than the recognizer tolerates (see ErrDeliveryNotTolerated).

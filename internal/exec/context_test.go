@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ringlang/internal/core"
 	"ringlang/internal/lang"
@@ -21,9 +22,10 @@ func batchJobs(count, size int) []Job {
 		}
 	}
 	rec := core.NewThreeCounters()
+	seq := ring.NewSequentialEngine()
 	jobs := make([]Job, count)
 	for i := range jobs {
-		jobs[i] = Job{Rec: rec, Word: word}
+		jobs[i] = Job{Rec: rec, Word: word, Engine: seq}
 	}
 	return jobs
 }
@@ -148,4 +150,76 @@ func TestJobRecordTrace(t *testing.T) {
 	if results[1].Trace != nil {
 		t.Error("untraced job returned a trace")
 	}
+}
+
+// gateEngine holds every run on a ring of gatedLen processors until a token
+// arrives on release; runs on other rings go straight through.
+type gateEngine struct {
+	ring.Engine
+	gatedLen int
+	release  chan struct{}
+	started  chan struct{} // one value per gated run, buffered by the test
+}
+
+func (e *gateEngine) Run(cfg ring.Config, nodes []ring.Node) (*ring.Result, error) {
+	if len(nodes) == e.gatedLen {
+		e.started <- struct{}{}
+		<-e.release
+	}
+	return e.Engine.Run(cfg, nodes)
+}
+
+// TestPoolSharesWorkersAcrossCalls pins the pool's dispatch order: a free
+// worker serves the call with the fewest jobs running. A long call holds
+// both workers and has jobs queued when a short call arrives; once one long
+// job finishes, the short call must complete on that worker without waiting
+// for any further long job, where first-come dispatch would hand the worker
+// the long call's next job and leave the short call queued behind it.
+func TestPoolSharesWorkersAcrossCalls(t *testing.T) {
+	const long = 8
+	engine := &gateEngine{Engine: ring.NewSequentialEngine(), gatedLen: 6,
+		release: make(chan struct{}), started: make(chan struct{}, long)}
+	pool := NewPool(2)
+	defer pool.Close()
+	defer close(engine.release) // lets a failed run's held jobs finish
+	rec := core.NewThreeCounters()
+	jobs := func(word string, n int) []Job {
+		out := make([]Job, n)
+		for i := range out {
+			out[i] = Job{Rec: rec, Word: lang.WordFromString(word), Engine: engine}
+		}
+		return out
+	}
+
+	longDone := make(chan struct{})
+	go func() {
+		defer close(longDone)
+		pool.RunBatch(jobs("001122", long))
+	}()
+	<-engine.started
+	<-engine.started // both workers hold a long job
+	shortDone := make(chan []Result, 1)
+	go func() { shortDone <- pool.RunBatch(jobs("012", 4)) }()
+	for registered := false; !registered; {
+		pool.mu.Lock()
+		registered = len(pool.calls) == 2
+		pool.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+
+	engine.release <- struct{}{} // one long job finishes, freeing one worker
+	select {
+	case results := <-shortDone:
+		for i, r := range results {
+			if r.Err != nil {
+				t.Errorf("short job %d: %v", i, r.Err)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the short call stayed queued behind the long call's jobs")
+	}
+	for range long - 1 {
+		engine.release <- struct{}{}
+	}
+	<-longDone
 }

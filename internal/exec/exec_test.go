@@ -51,6 +51,20 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 		{"concurrent", 0},
 	}
 	sizes := []int{3, 9, 21}
+	// One pinned engine per schedule, shared by all of its jobs as a
+	// long-lived caller would share it.
+	engines := make([]ring.Engine, len(schedules))
+	for i, s := range schedules {
+		name := s.name
+		if name == "" {
+			name = "sequential"
+		}
+		e, err := ring.NewEngineByName(name, s.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = e
+	}
 
 	// Build the job grid and the serial baseline.
 	var jobs []Job
@@ -67,12 +81,12 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 				words = append(words, nonMember)
 			}
 			for _, word := range words {
-				for _, s := range schedules {
+				for si, s := range schedules {
 					res, err := core.Check(rec, word, core.RunOptions{Schedule: s.name, Seed: s.seed})
 					if err != nil {
 						t.Fatalf("serial %s n=%d schedule=%q: %v", rec.Name(), n, s.name, err)
 					}
-					jobs = append(jobs, Job{Rec: rec, Word: word, Schedule: s.name, Seed: s.seed, Check: true})
+					jobs = append(jobs, Job{Rec: rec, Word: word, Engine: engines[si], Check: true})
 					want = append(want, Result{Verdict: res.Verdict, Stats: res.Stats.Clone()})
 				}
 			}
@@ -90,14 +104,14 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 			for i, g := range got {
 				if g.Err != nil {
 					t.Fatalf("workers=%d round=%d job %d (%s %q %q): %v",
-						workers, round, i, jobs[i].Rec.Name(), jobs[i].Word.String(), jobs[i].Schedule, g.Err)
+						workers, round, i, jobs[i].Rec.Name(), jobs[i].Word.String(), jobs[i].Engine.Name(), g.Err)
 				}
 				if g.Verdict != want[i].Verdict {
 					t.Errorf("workers=%d job %d: verdict %v, serial %v", workers, i, g.Verdict, want[i].Verdict)
 				}
 				if !statsEqual(g.Stats, want[i].Stats) {
 					t.Errorf("workers=%d job %d (%s %q %q): batch stats %+v != serial %+v",
-						workers, i, jobs[i].Rec.Name(), jobs[i].Word.String(), jobs[i].Schedule,
+						workers, i, jobs[i].Rec.Name(), jobs[i].Word.String(), jobs[i].Engine.Name(),
 						*g.Stats, *want[i].Stats)
 				}
 			}
@@ -111,12 +125,13 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 // batches run on the same (reused) worker state.
 func TestRunBatchResultsAreIndependent(t *testing.T) {
 	rec := core.NewThreeCounters()
+	seq := ring.NewSequentialEngine()
 	w1 := lang.WordFromString("012")
 	w2 := lang.WordFromString("001122")
 	pool := NewPool(1)
 	defer pool.Close()
 
-	first := pool.RunBatch([]Job{{Rec: rec, Word: w1, Check: true}, {Rec: rec, Word: w2, Check: true}})
+	first := pool.RunBatch([]Job{{Rec: rec, Word: w1, Engine: seq, Check: true}, {Rec: rec, Word: w2, Engine: seq, Check: true}})
 	for i, r := range first {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)
@@ -125,7 +140,7 @@ func TestRunBatchResultsAreIndependent(t *testing.T) {
 	snapshot := flattenPerLink(first[0].Stats)
 	// A second batch on the same worker reuses and resets the state; the
 	// already-returned results must not change.
-	pool.RunBatch([]Job{{Rec: rec, Word: w2, Check: true}})
+	pool.RunBatch([]Job{{Rec: rec, Word: w2, Engine: seq, Check: true}})
 	if !reflect.DeepEqual(snapshot, flattenPerLink(first[0].Stats)) {
 		t.Fatal("a later batch mutated an earlier result's stats")
 	}
@@ -135,23 +150,24 @@ func TestRunBatchResultsAreIndependent(t *testing.T) {
 }
 
 // TestRunBatchErrors checks that bad jobs fail in place without failing the
-// batch.
+// batch: a job needs a recognizer, an engine and a non-empty word.
 func TestRunBatchErrors(t *testing.T) {
 	rec := core.NewThreeCounters()
+	seq := ring.NewSequentialEngine()
 	results := RunBatch([]Job{
-		{Rec: rec, Word: lang.WordFromString("012"), Check: true},
-		{Rec: rec, Word: lang.WordFromString("012"), Schedule: "no-such-schedule"},
-		{Word: lang.WordFromString("012")},
-		{Rec: rec, Word: nil},
+		{Rec: rec, Word: lang.WordFromString("012"), Engine: seq, Check: true},
+		{Word: lang.WordFromString("012"), Engine: seq},
+		{Rec: rec, Word: lang.WordFromString("012")},
+		{Rec: rec, Word: nil, Engine: seq},
 	}, Options{Workers: 2})
 	if results[0].Err != nil {
 		t.Errorf("good job failed: %v", results[0].Err)
 	}
 	if results[1].Err == nil {
-		t.Error("unknown schedule did not error")
+		t.Error("job without recognizer did not error")
 	}
 	if results[2].Err == nil {
-		t.Error("job without recognizer did not error")
+		t.Error("job without engine did not error")
 	}
 	if !errors.Is(results[3].Err, core.ErrEmptyWord) {
 		t.Errorf("empty word error = %v, want core.ErrEmptyWord", results[3].Err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"ringlang/internal/core"
@@ -17,16 +18,11 @@ type Job struct {
 	Rec core.Recognizer
 	// Word labels the ring, one letter per processor, leader first. Required.
 	Word lang.Word
-	// Engine pins the engine. When nil, Schedule/Seed name a built-in one
-	// (see ring.ScheduleNames); an empty Schedule means sequential. A pinned
-	// engine may be shared by many jobs — engines are safe for concurrent
-	// use — and still benefits from per-worker state reuse when it
+	// Engine executes the run. Required. One engine may be shared by many
+	// jobs — engines are safe for concurrent use — and a worker reuses its
+	// run state across jobs whatever their engines when the engine
 	// implements ring.StatefulEngine.
 	Engine ring.Engine
-	// Schedule names the delivery schedule when Engine is nil.
-	Schedule string
-	// Seed drives randomized schedules (Schedule == "random").
-	Seed int64
 	// Check cross-checks the verdict against the language's own membership
 	// predicate (core.Check); otherwise the run is core.Run.
 	Check bool
@@ -70,22 +66,34 @@ type Options struct {
 	Workers int
 }
 
-// task is one queued job plus where its result goes.
-type task struct {
-	ctx     context.Context
-	job     Job
-	idx     int
-	deliver func(idx int, res Result)
-	done    *sync.WaitGroup
-}
-
 // Pool is a set of persistent worker goroutines, each owning reusable run
-// state. A Pool may serve many RunBatch calls (also concurrently); Close
-// releases the workers.
+// state. A Pool may serve many RunEach and RunBatch calls at once. A free
+// worker takes the next job of the call with the fewest jobs running (the
+// least recently served on a tie), so concurrent calls share the workers
+// evenly: a small batch sharing the pool with a large one keeps a worker
+// instead of queueing behind the large one's longer runs. Close releases the
+// workers.
 type Pool struct {
 	workers int
-	tasks   chan task
 	wg      sync.WaitGroup
+
+	mu     sync.Mutex
+	ready  sync.Cond // signalled when a call arrives, and on Close
+	calls  []*call   // calls with jobs not yet handed to a worker
+	served uint64    // jobs handed out so far, the calls' recency clock
+	closed bool
+}
+
+// call is one RunEach call's progress through the pool; its counters are
+// guarded by Pool.mu.
+type call struct {
+	ctx     context.Context
+	jobs    []Job
+	deliver func(idx int, res Result)
+	next    int    // first job not yet handed to a worker
+	running int    // jobs on a worker right now
+	served  uint64 // when the call last had a job handed out
+	done    sync.WaitGroup
 }
 
 // NewPool starts a pool. workers < 1 means runtime.GOMAXPROCS(0).
@@ -93,68 +101,92 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers, tasks: make(chan task)}
-	for i := 0; i < workers; i++ {
+	p := &Pool{workers: workers}
+	p.ready.L = &p.mu
+	for range workers {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
 			w := newWorker()
-			for t := range p.tasks {
-				t.deliver(t.idx, w.run(t.ctx, t.job))
-				t.done.Done()
+			for {
+				c, j, ok := p.take()
+				if !ok {
+					return
+				}
+				c.deliver(j, w.run(c.ctx, c.jobs[j]))
+				p.mu.Lock()
+				c.running--
+				p.mu.Unlock()
+				c.done.Done()
 			}
 		}()
 	}
 	return p
 }
 
+// take blocks until a call has a job to hand out and returns the next job of
+// the call with the fewest jobs running, or reports false once the pool is
+// closed and idle.
+func (p *Pool) take() (*call, int, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.calls) == 0 {
+		if p.closed {
+			return nil, 0, false
+		}
+		p.ready.Wait()
+	}
+	k := 0
+	for j, c := range p.calls {
+		if best := p.calls[k]; c.running < best.running || c.running == best.running && c.served < best.served {
+			k = j
+		}
+	}
+	c := p.calls[k]
+	i := c.next
+	c.next++
+	c.running++
+	p.served++
+	c.served = p.served
+	if c.next == len(c.jobs) {
+		p.calls = slices.Delete(p.calls, k, k+1)
+	}
+	return c, i, true
+}
+
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// Close shuts the workers down. The pool must not be used afterwards.
+// Close shuts the workers down once no call has jobs left to hand out. The
+// pool must not be used afterwards.
 func (p *Pool) Close() {
-	close(p.tasks)
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.ready.Broadcast()
 	p.wg.Wait()
 }
 
 // RunEach executes every job and hands each Result to deliver as soon as its
 // worker finishes — completion order, not job order. deliver is called
-// concurrently from worker goroutines (and, for jobs canceled before
-// dispatch, from the calling goroutine) and must be safe for that; every job
-// is delivered exactly once. When ctx is canceled, jobs not yet handed to a
-// worker are delivered immediately with an error wrapping ring.ErrCanceled,
-// and in-flight runs abort through the engines' own cancellation checks.
-// RunEach returns only after every job has been delivered.
+// concurrently from worker goroutines and must be safe for that; every job
+// is delivered exactly once. When ctx is canceled, in-flight runs abort
+// through the engines' own cancellation checks, and each job not yet run
+// fails without running, with an error wrapping ring.ErrCanceled, as soon
+// as a worker is free: core.Run checks the context before building
+// anything, and a call with no job running is served ahead of calls that
+// have one. RunEach returns only after every job has been delivered.
 func (p *Pool) RunEach(ctx context.Context, jobs []Job, deliver func(idx int, res Result)) {
-	if ctx == nil {
-		ctx = context.Background()
+	if len(jobs) == 0 {
+		return
 	}
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	canceledFrom := len(jobs)
-dispatch:
-	for i := range jobs {
-		if done != nil {
-			select {
-			case <-done:
-				canceledFrom = i
-				break dispatch
-			default:
-			}
-		}
-		wg.Add(1)
-		select {
-		case p.tasks <- task{ctx: ctx, job: jobs[i], idx: i, deliver: deliver, done: &wg}:
-		case <-done:
-			wg.Done()
-			canceledFrom = i
-			break dispatch
-		}
-	}
-	for i := canceledFrom; i < len(jobs); i++ {
-		deliver(i, Result{Err: fmt.Errorf("exec: job not dispatched: %w: %w", ring.ErrCanceled, ctx.Err())})
-	}
-	wg.Wait()
+	c := &call{ctx: ctx, jobs: jobs, deliver: deliver}
+	c.done.Add(len(jobs))
+	p.mu.Lock()
+	p.calls = append(p.calls, c)
+	p.mu.Unlock()
+	p.ready.Broadcast()
+	c.done.Wait()
 }
 
 // RunBatchContext executes every job and returns one Result per job, in job
@@ -194,52 +226,18 @@ func RunEach(ctx context.Context, jobs []Job, opts Options, deliver func(idx int
 	p.RunEach(ctx, jobs, deliver)
 }
 
-// engineKey identifies a by-name engine in a worker's cache.
-type engineKey struct {
-	schedule string
-	seed     int64
-}
-
-// worker is the reusable state one pool goroutine owns: resolved engines and
-// one ring.RunState per engine, so repeated jobs under the same schedule
-// reuse stats, contexts and scheduler queues run after run.
+// worker is the reusable state one pool goroutine owns: one ring.RunState,
+// so stats, contexts and scheduler queues are reused run after run, and a
+// core.NodeReuse that relabels the rings of recent jobs in place. A worker of
+// a long-lived pool runs the jobs of many engines and recognizers; keeping
+// one state (not one per engine it ever ran) bounds what it holds.
 type worker struct {
-	named  map[engineKey]ring.Engine
-	states map[ring.Engine]*ring.RunState
-	// reuse relabels the previous job's ring in place when consecutive jobs
-	// run the same recognizer at the same ring size (core.NodeReuse) — the
-	// common shape of a batch, where node construction would otherwise be
-	// the dominant per-word allocation.
+	st    *ring.RunState
 	reuse *core.NodeReuse
 }
 
 func newWorker() *worker {
-	return &worker{
-		named:  make(map[engineKey]ring.Engine),
-		states: make(map[ring.Engine]*ring.RunState),
-		reuse:  core.NewNodeReuse(),
-	}
-}
-
-// engine resolves a job to an engine, caching by-name resolutions.
-func (w *worker) engine(job Job) (ring.Engine, error) {
-	if job.Engine != nil {
-		return job.Engine, nil
-	}
-	name := job.Schedule
-	if name == "" {
-		name = "sequential"
-	}
-	key := engineKey{schedule: name, seed: job.Seed}
-	if e, ok := w.named[key]; ok {
-		return e, nil
-	}
-	e, err := ring.NewEngineByName(name, job.Seed)
-	if err != nil {
-		return nil, err
-	}
-	w.named[key] = e
-	return e, nil
+	return &worker{st: ring.NewRunState(), reuse: core.NewNodeReuse()}
 }
 
 // run executes one job with this worker's reusable state.
@@ -249,17 +247,12 @@ func (w *worker) run(ctx context.Context, job Job) Result {
 	if job.Rec == nil {
 		return Result{Err: fmt.Errorf("exec: job has no recognizer")}
 	}
-	engine, err := w.engine(job)
-	if err != nil {
-		return Result{Err: err}
+	if job.Engine == nil {
+		return Result{Err: fmt.Errorf("exec: job has no engine")}
 	}
-	st := w.states[engine]
-	if st == nil {
-		st = ring.NewRunState()
-		w.states[engine] = st
-	}
-	opts := core.RunOptions{Engine: engine, State: st, Ctx: ctx, RecordTrace: job.RecordTrace, Presize: job.Presize, Prefix: job.Prefix, Reuse: w.reuse, AllowFaults: job.AllowFaults}
+	opts := core.RunOptions{Engine: job.Engine, State: w.st, Ctx: ctx, RecordTrace: job.RecordTrace, Presize: job.Presize, Prefix: job.Prefix, Reuse: w.reuse, AllowFaults: job.AllowFaults}
 	var res *ring.Result
+	var err error
 	if job.Check {
 		res, err = core.Check(job.Rec, job.Word, opts)
 	} else {

@@ -8,6 +8,7 @@ import (
 
 	"ringlang/internal/core"
 	"ringlang/internal/lang"
+	"ringlang/internal/ring"
 )
 
 // throughputWorkload is the n=1024 workload of the acceptance criteria: the
@@ -21,9 +22,10 @@ func throughputWorkload(tb testing.TB, words int) (core.Recognizer, []Job) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	seq := ring.NewSequentialEngine()
 	jobs := make([]Job, words)
 	for i := range jobs {
-		jobs[i] = Job{Rec: rec, Word: word, Check: true}
+		jobs[i] = Job{Rec: rec, Word: word, Engine: seq, Check: true}
 	}
 	return rec, jobs
 }

@@ -11,6 +11,8 @@ import (
 	"unicode/utf8"
 
 	"ringlang"
+	"ringlang/internal/exec"
+	"ringlang/internal/lang"
 )
 
 // runRequest is the JSON body of /v1/recognize and /v1/batch (and the query
@@ -25,9 +27,9 @@ type runRequest struct {
 	Words     []string `json:"words"`
 }
 
-// reportPayload is the wire form of one *ringlang.Report. It is a stable
-// view, decoupled from the Go struct, so facade refactors do not silently
-// change the API.
+// reportPayload is the wire form of one engine run. It is a stable view,
+// decoupled from the Go result structs, so refactors do not silently change
+// the API.
 type reportPayload struct {
 	Algorithm        string  `json:"algorithm"`
 	Language         string  `json:"language"`
@@ -43,25 +45,35 @@ type reportPayload struct {
 	Cached           bool    `json:"cached"`
 }
 
-func payloadFor(word string, report *ringlang.Report, cached bool) *reportPayload {
-	return &reportPayload{
-		Algorithm:        report.Algorithm,
-		Language:         report.LanguageName,
-		Word:             word,
-		Verdict:          report.Verdict.String(),
-		Member:           report.Member,
-		Messages:         report.Messages,
-		Bits:             report.Bits,
-		BitsPerProcessor: report.BitsPerProcessor,
-		MaxMessageBits:   report.MaxMessageBits,
-		Processors:       report.ProcessorCount,
-		Schedule:         report.Schedule,
-		Cached:           cached,
+// payload renders one successful run of rn as the payload the memo cache
+// stores: everything but the word and the cached flag, which served fills in
+// per response. It keeps nothing of the run's stats, so an entry costs its
+// key plus a fixed-size value, whatever the ring size.
+func (rn *runner) payload(word lang.Word, res exec.Result) reportPayload {
+	st := res.Stats
+	return reportPayload{
+		Algorithm:        rn.rec.Name(),
+		Language:         rn.rec.Language().Name(),
+		Verdict:          res.Verdict.String(),
+		Member:           rn.rec.Language().Contains(word),
+		Messages:         st.Messages,
+		Bits:             st.Bits,
+		BitsPerProcessor: st.BitsPerProcessor(),
+		MaxMessageBits:   st.MaxMessageBits,
+		Processors:       st.Processors,
+		Schedule:         rn.schedule,
 	}
 }
 
+// served is the response form of a payload for one request's word.
+func (p reportPayload) served(word string, cached bool) *reportPayload {
+	p.Word = word
+	p.Cached = cached
+	return &p
+}
+
 // wordResult is one per-word outcome inside batch responses and stream
-// lines: exactly one of Report and Error is set, mirroring ringlang.Result.
+// lines: exactly one of Report and Error is set.
 type wordResult struct {
 	Index  int            `json:"index"`
 	Report *reportPayload `json:"report,omitempty"`
@@ -172,9 +184,14 @@ func (s *Server) wordTooLarge(index, letters int) wordResult {
 	}
 }
 
-// errOverloaded marks a compute rejected by admission control inside the
-// singleflight; the handler turns it into the 429 response.
+// errOverloaded marks engine work rejected by admission control; the
+// handlers turn it into the 429 response.
 var errOverloaded = errors.New("server: at max in-flight requests")
+
+// job is one engine run of rn on word, on the shared pool.
+func (s *Server) job(rn *runner, word lang.Word) exec.Job {
+	return exec.Job{Rec: rn.rec, Word: word, Engine: rn.engine, Prefix: s.prefix}
+}
 
 // handleRecognize serves POST /v1/recognize: one word through the memo
 // cache's singleflight, so concurrent identical requests share one engine
@@ -199,22 +216,21 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, ringlang.ErrClosed)
 		return
 	}
-	ck := keyFor(req.Algorithm, req.Language, req.Schedule, req.Seed)
+	k := keyFor(req.Algorithm, req.Language, req.Schedule, req.Seed)
 	if s.cache != nil {
 		// Peek, not Get: on absence the singleflight Do below records the
 		// authoritative miss, keeping misses == engine runs.
-		if report, ok := s.cache.Peek(ck.cacheKey(req.Word)); ok {
-			writeJSON(w, http.StatusOK, payloadFor(req.Word, report, true))
+		if hit, ok := s.cache.Peek(k.memoKey(req.Word)); ok {
+			writeJSON(w, http.StatusOK, hit.served(req.Word, true))
 			return
 		}
 	}
-	entry, err := s.acquireClient(ck)
+	rn, err := s.runner(k)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	defer s.releaseClient(entry)
-	report, cached, err := s.recognizeWord(r.Context(), entry.client, ck, req.Word)
+	payload, cached, err := s.recognizeWord(r.Context(), rn, k, req.Word)
 	if errors.Is(err, errOverloaded) {
 		overloaded(w)
 		return
@@ -223,53 +239,59 @@ func (s *Server) handleRecognize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, payloadFor(req.Word, report, cached))
+	writeJSON(w, http.StatusOK, payload.served(req.Word, cached))
 }
 
-// recognizeWord is the cached single-word path behind /v1/recognize. With
-// the cache disabled it is a plain admitted Client.Recognize. Admission
-// happens inside the singleflight compute, so only the caller that actually
-// runs the engine holds an in-flight slot — waiters sharing the run block on
-// the call, not on the semaphore, and a herd on one cold key costs one slot,
-// not MaxInFlight. A waiter that shared a computation canceled by the
-// computing request's disconnect retries once with its own (live) context,
-// so one client's disconnect does not fail its herd.
-func (s *Server) recognizeWord(ctx context.Context, client *ringlang.Client, ck clientKey, word string) (*ringlang.Report, bool, error) {
-	run := func() (*ringlang.Report, error) {
-		release, ok := s.admit()
-		if !ok {
-			return nil, errOverloaded
+// recognizeWord is the cached single-word path behind /v1/recognize: one
+// job on the shared pool. With the cache disabled it is a plain admitted
+// run. Admission happens inside the singleflight compute, so only the caller
+// that actually runs the engine holds an in-flight slot — waiters sharing
+// the run block on the call, not on the semaphore, and a herd on one cold
+// key costs one slot, not MaxInFlight. A waiter that shared a computation
+// canceled by the computing request's disconnect retries once with its own
+// (live) context, so one client's disconnect does not fail its herd.
+func (s *Server) recognizeWord(ctx context.Context, rn *runner, k runKey, word string) (reportPayload, bool, error) {
+	run := func() (reportPayload, error) {
+		release, err := s.admit()
+		if err != nil {
+			return reportPayload{}, err
 		}
 		defer release()
-		return client.Recognize(ctx, ringlang.WordFromString(word))
+		w := lang.WordFromString(word)
+		res := s.pool.RunBatchContext(ctx, []exec.Job{s.job(rn, w)})[0]
+		if res.Err != nil {
+			return reportPayload{}, res.Err
+		}
+		return rn.payload(w, res), nil
 	}
 	if s.cache == nil {
-		report, err := run()
-		return report, false, err
+		payload, err := run()
+		return payload, false, err
 	}
-	key := ck.cacheKey(word)
+	key := k.memoKey(word)
 	for attempt := 0; ; attempt++ {
-		report, cached, err := s.cache.Do(key, run)
+		payload, cached, err := s.cache.Do(key, run)
 		if err != nil && cached && attempt == 0 &&
 			errors.Is(err, ringlang.ErrCanceled) && ctx.Err() == nil {
 			continue
 		}
-		return report, cached, err
+		return payload, cached, err
 	}
 }
 
 // runPrep is the validated, partitioned, admitted state a batch or stream
-// request shares: the resolved client, the words already answerable without
+// request shares: the resolved runner, the words already answerable without
 // an engine (cache hits and per-word rejections), the deduplicated misses to
 // run, and the indexes of in-request repeats riding each miss's single run.
 type runPrep struct {
-	ck        clientKey
-	client    *ringlang.Client
-	done      []wordResult    // pre-completed: cache hits + rejected words
-	missIdx   []int           // original index of each miss
-	missWords []ringlang.Word // misses, in missIdx order, deduplicated
-	dups      map[int][]int   // miss position → original indexes of repeats
-	release   func()
+	key     runKey
+	rn      *runner
+	done    []wordResult  // pre-completed: cache hits + rejected words
+	missIdx []int         // original index of each miss
+	jobs    []exec.Job    // one per miss, in missIdx order, deduplicated
+	dups    map[int][]int // miss position → original indexes of repeats
+	// release frees the admission taken for jobs; nil when there are none.
+	release func()
 }
 
 // duplicateResult re-indexes a primary result for a word repeated within one
@@ -280,26 +302,28 @@ func duplicateResult(primary wordResult, index int) wordResult {
 	return dup
 }
 
-// finish converts one per-word engine outcome into its wire form, storing
-// successful reports in the cache.
-func (s *Server) finish(p *runPrep, j int, res ringlang.Result, word string) wordResult {
+// finish converts the outcome of miss j into its wire form, storing a
+// successful payload in the cache.
+func (s *Server) finish(p *runPrep, j int, res exec.Result, word string) wordResult {
 	i := p.missIdx[j]
 	if res.Err != nil {
 		return wordResult{Index: i, Error: res.Err.Error(), Code: errorCode(res.Err)}
 	}
+	payload := p.rn.payload(p.jobs[j].Word, res)
 	if s.cache != nil {
-		s.cache.Put(p.ck.cacheKey(word), res.Report)
+		s.cache.Put(p.key.memoKey(word), payload)
 	}
-	return wordResult{Index: i, Report: payloadFor(word, res.Report, false)}
+	return wordResult{Index: i, Report: payload.served(word, false)}
 }
 
 // prepareWords is the shared preamble of batch and stream: validate the word
-// list, resolve the client, partition the words into served-from-cache /
+// list, resolve the runner, partition the words into served-from-cache /
 // rejected / to-run (deduplicating repeats within the request, so N copies
 // of one cold word cost one engine run), and take an admission slot — but
 // only when there is engine work to admit, so an all-warm request is served
 // even by a saturated server. On failure the response has been written and
-// ok is false. The caller must defer p.release().
+// ok is false. When p.jobs is non-empty the caller must call p.release once
+// the pool has run them.
 func (s *Server) prepareWords(w http.ResponseWriter, req runRequest, kind string) (p *runPrep, ok bool) {
 	if len(req.Words) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorPayload{Error: kind + " request has no words", Code: "bad-request"})
@@ -312,14 +336,17 @@ func (s *Server) prepareWords(w http.ResponseWriter, req runRequest, kind string
 		})
 		return nil, false
 	}
-	ck := keyFor(req.Algorithm, req.Language, req.Schedule, req.Seed)
-	entry, err := s.acquireClient(ck)
+	if s.isClosed() {
+		writeError(w, ringlang.ErrClosed)
+		return nil, false
+	}
+	k := keyFor(req.Algorithm, req.Language, req.Schedule, req.Seed)
+	rn, err := s.runner(k)
 	if err != nil {
 		writeError(w, err)
 		return nil, false
 	}
-	p = &runPrep{ck: ck, client: entry.client, dups: make(map[int][]int)}
-	p.release = func() { s.releaseClient(entry) }
+	p = &runPrep{key: k, rn: rn, dups: make(map[int][]int)}
 	firstMiss := make(map[string]int)
 	for i, word := range req.Words {
 		if n := wordLen(word); n > s.cfg.MaxWordLetters {
@@ -333,32 +360,33 @@ func (s *Server) prepareWords(w http.ResponseWriter, req runRequest, kind string
 			continue
 		}
 		if s.cache != nil {
-			if report, ok := s.cache.Get(ck.cacheKey(word)); ok {
-				p.done = append(p.done, wordResult{Index: i, Report: payloadFor(word, report, true)})
+			if hit, ok := s.cache.Get(k.memoKey(word)); ok {
+				p.done = append(p.done, wordResult{Index: i, Report: hit.served(word, true)})
 				continue
 			}
 		}
-		firstMiss[word] = len(p.missWords)
+		firstMiss[word] = len(p.jobs)
 		p.missIdx = append(p.missIdx, i)
-		p.missWords = append(p.missWords, ringlang.WordFromString(word))
+		p.jobs = append(p.jobs, s.job(rn, lang.WordFromString(word)))
 	}
-	if len(p.missWords) > 0 {
-		releaseSlot, admitted := s.admit()
-		if !admitted {
-			p.release()
+	if len(p.jobs) > 0 {
+		release, err := s.admit()
+		if errors.Is(err, errOverloaded) {
 			overloaded(w)
 			return nil, false
 		}
-		releaseEntry := p.release
-		p.release = func() { releaseSlot(); releaseEntry() }
+		if err != nil {
+			writeError(w, err)
+			return nil, false
+		}
+		p.release = release
 	}
 	return p, true
 }
 
-// handleBatch serves POST /v1/batch: per-word results in word order,
-// mirroring Client.Batch — a bad word fails alone, a disconnect mid-batch
-// keeps the completed words. Cache hits are answered without engine runs;
-// only the misses go to the worker pool.
+// handleBatch serves POST /v1/batch: per-word results in word order — a bad
+// word fails alone, a disconnect mid-batch keeps the completed words. Cache
+// hits are answered without engine runs; only the misses go to the pool.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeRunRequest(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
@@ -370,16 +398,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer p.release()
 	results := make([]wordResult, len(req.Words))
 	for _, res := range p.done {
 		results[res.Index] = res
 	}
-	for j, res := range p.client.Batch(r.Context(), p.missWords) {
-		primary := s.finish(p, j, res, req.Words[p.missIdx[j]])
-		results[primary.Index] = primary
-		for _, i := range p.dups[j] {
-			results[i] = duplicateResult(primary, i)
+	if len(p.jobs) > 0 {
+		ran := s.pool.RunBatchContext(r.Context(), p.jobs)
+		p.release()
+		for j, res := range ran {
+			primary := s.finish(p, j, res, req.Words[p.missIdx[j]])
+			results[primary.Index] = primary
+			for _, i := range p.dups[j] {
+				results[i] = duplicateResult(primary, i)
+			}
 		}
 	}
 	writeJSON(w, http.StatusOK, struct {
@@ -414,8 +445,8 @@ func streamRequest(r *http.Request) (runRequest, error) {
 // handleStream serves GET /v1/stream: one result line per word in completion
 // order, NDJSON by default or SSE under Accept: text/event-stream, flushed
 // as workers finish. Cache hits stream first (they are already complete);
-// misses follow as Client.Stream yields them. A dropped connection cancels
-// the remaining work through the request context.
+// misses follow as the pool finishes them. A dropped connection cancels the
+// remaining work through the request context.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	req, err := streamRequest(r)
 	if err != nil {
@@ -426,7 +457,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer p.release()
 
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if sse {
@@ -460,11 +490,28 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	for _, res := range p.done {
 		emit(res)
 	}
-	for j, res := range p.client.Stream(r.Context(), p.missWords) {
-		primary := s.finish(p, j, res, req.Words[p.missIdx[j]])
-		emit(primary)
-		for _, i := range p.dups[j] {
-			emit(duplicateResult(primary, i))
+	if len(p.jobs) > 0 {
+		// Workers hand results to a buffer sized to the misses, so they never
+		// wait on this connection: a slow reader holds its handler, not a
+		// shared worker, and the admission is released once the pool is done.
+		type ran struct {
+			j   int
+			res exec.Result
+		}
+		results := make(chan ran, len(p.jobs))
+		go func() {
+			defer close(results)
+			defer p.release()
+			s.pool.RunEach(r.Context(), p.jobs, func(j int, res exec.Result) {
+				results <- ran{j, res}
+			})
+		}()
+		for d := range results {
+			primary := s.finish(p, d.j, d.res, req.Words[p.missIdx[d.j]])
+			emit(primary)
+			for _, i := range p.dups[d.j] {
+				emit(duplicateResult(primary, i))
+			}
 		}
 	}
 	if s.streamDone != nil {

@@ -7,15 +7,17 @@ import (
 	"sync"
 
 	"ringlang"
+	"ringlang/internal/core"
+	"ringlang/internal/exec"
 	"ringlang/internal/memo"
 	"ringlang/internal/ring"
 )
 
-// Config sizes the serving tier. The zero value is serviceable: one worker
-// per CPU, a 4096-entry cache, and 4×GOMAXPROCS in-flight run requests.
+// Config sizes the serving tier. The zero value is serviceable: one engine
+// worker per CPU, a 4096-entry cache, and 4×GOMAXPROCS in-flight run requests.
 type Config struct {
-	// Workers is the exec-pool size of every Client the server builds;
-	// values < 1 mean one worker per CPU.
+	// Workers is the size of the engine pool every request shares; values
+	// < 1 mean one worker per CPU.
 	Workers int
 	// CacheCapacity is the total memo cache size in entries. Negative
 	// disables caching entirely; zero means DefaultCacheCapacity.
@@ -39,18 +41,12 @@ type Config struct {
 	// http.MaxBytesReader before any decoding. Values < 1 mean
 	// DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// MaxClients bounds the per-(algorithm, language, schedule, seed)
-	// Client map; past it the least recently used client is closed and
-	// evicted, so unbounded key churn (e.g. a fresh random seed per
-	// request) cannot accumulate idle worker pools. Values < 1 mean
-	// DefaultMaxClients.
-	MaxClients int
-	// PrefixCacheBytes sizes the prefix-checkpoint cache shared by every
-	// Client the server builds: where the memo cache answers exact repeats
-	// without an engine run, this tier makes *distinct* words cheaper when
-	// they share prefixes, by resuming runs from stored engine checkpoints
-	// (ringlang.WithSharedPrefixCache). Negative disables the tier; zero
-	// means DefaultPrefixCacheBytes.
+	// PrefixCacheBytes sizes the prefix-checkpoint cache every engine run
+	// shares: where the memo cache answers exact repeats without an engine
+	// run, this tier makes *distinct* words cheaper when they share
+	// prefixes, by resuming runs from stored engine checkpoints
+	// (core.RunOptions.Prefix). Negative disables the tier; zero means
+	// DefaultPrefixCacheBytes.
 	PrefixCacheBytes int64
 }
 
@@ -60,40 +56,58 @@ const (
 	DefaultMaxBatchWords    = 4096
 	DefaultMaxWordLetters   = 1 << 16
 	DefaultMaxBodyBytes     = 1 << 20
-	DefaultMaxClients       = 64
 	DefaultPrefixCacheBytes = 32 << 20
 )
 
-// clientKey identifies one cached *ringlang.Client. Schedule is normalized
-// (canonical name, defaulted) and seed is zeroed for deterministic schedules,
-// so equivalent requests share a client and its warmed worker pool.
-type clientKey struct {
+// runnerCapacity bounds the resolved keys the server keeps. A runner is a
+// recognizer and an engine and owns no goroutines, so evicting one just
+// drops it: key churn (a fresh random seed per request) costs a rebuild,
+// never a leak.
+const runnerCapacity = 64
+
+// runKey identifies what a request runs. Schedule is normalized (canonical
+// name, defaulted) and seed is zeroed for deterministic schedules, so
+// equivalent requests share a runner and memo entries.
+type runKey struct {
 	algorithm string
 	language  string
 	schedule  string
 	seed      int64
 }
 
-// Server holds the per-key Clients, the memo cache and the admission
+// runner is what one key resolves to: the recognizer and the engine every
+// job of that key runs on. Engines are safe for concurrent use, so all pool
+// workers share it.
+type runner struct {
+	rec      core.Recognizer
+	engine   ring.Engine
+	schedule string // the key's canonical schedule, the reports' label
+}
+
+// Server holds the shared engine pool, the memo cache and the admission
 // semaphore behind the HTTP handlers. Build with New; always Close.
 type Server struct {
-	cfg    Config
-	cache  *memo.Cache[*ringlang.Report] // nil when caching is disabled
-	prefix *ringlang.PrefixCache         // nil when the prefix tier is disabled
-	sem    chan struct{}
+	cfg     Config
+	pool    *exec.Pool
+	runners *memo.Cache[*runner]
+	cache   *memo.Cache[reportPayload] // nil when caching is disabled
+	prefix  *core.PrefixCache          // nil when the prefix tier is disabled
+	sem     chan struct{}
 
 	mu       sync.Mutex
-	clients  map[clientKey]*clientEntry
-	useSeq   uint64
 	closed   bool
 	draining bool
+	// running counts admitted engine work; Close waits for it before
+	// closing the pool.
+	running sync.WaitGroup
 
 	// streamDone, when set (tests), receives the terminal per-word error of
 	// a stream request — how the disconnect tests observe ErrCanceled.
 	streamDone func(err error)
 }
 
-// New builds a Server from cfg, applying the documented defaults.
+// New builds a Server from cfg, applying the documented defaults, and starts
+// its engine pool.
 func New(cfg Config) *Server {
 	if cfg.MaxInFlight < 1 {
 		cfg.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
@@ -107,9 +121,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxBodyBytes < 1 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if cfg.MaxClients < 1 {
-		cfg.MaxClients = DefaultMaxClients
-	}
 	if cfg.CacheCapacity == 0 {
 		cfg.CacheCapacity = DefaultCacheCapacity
 	}
@@ -118,14 +129,15 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:     cfg,
+		pool:    exec.NewPool(cfg.Workers),
+		runners: memo.New[*runner](runnerCapacity, 1),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
-		clients: make(map[clientKey]*clientEntry),
 	}
 	if cfg.CacheCapacity > 0 {
-		s.cache = memo.New[*ringlang.Report](cfg.CacheCapacity, cfg.CacheShards)
+		s.cache = memo.New[reportPayload](cfg.CacheCapacity, cfg.CacheShards)
 	}
 	if cfg.PrefixCacheBytes > 0 {
-		s.prefix = ringlang.NewPrefixCache(cfg.PrefixCacheBytes)
+		s.prefix = core.NewPrefixCache(cfg.PrefixCacheBytes)
 	}
 	return s
 }
@@ -151,9 +163,10 @@ func (s *Server) BeginDrain() {
 	s.mu.Unlock()
 }
 
-// Close retires the server: later run requests answer 503 and every cached
-// Client is closed (waiting out its in-flight Batch/Stream work — the
-// facade's documented Close semantics). Idempotent, like Client.Close.
+// Close retires the server: later run requests answer 503, and once the
+// engine work already admitted has drained the pool's workers exit. Close
+// waits for that work, not for handlers still writing its results out.
+// Idempotent: later calls return at once.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -162,15 +175,9 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.draining = true
-	clients := make([]*ringlang.Client, 0, len(s.clients))
-	for _, e := range s.clients {
-		clients = append(clients, e.client)
-	}
-	s.clients = nil
 	s.mu.Unlock()
-	for _, c := range clients {
-		c.Close()
-	}
+	s.running.Wait()
+	s.pool.Close()
 	return nil
 }
 
@@ -193,16 +200,16 @@ func (s *Server) PrefixStats() memo.PrefixStats {
 	return s.prefix.Stats()
 }
 
-// keyFor builds the canonical client key of one request: the schedule is
-// folded onto its canonical name (internal/ring owns the alias table, so the
-// server cannot drift from the engine catalog) and the seed is zeroed for
-// seed-independent schedules, so equivalent requests converge on one client
+// keyFor builds the canonical key of one request: the schedule is folded
+// onto its canonical name (internal/ring owns the alias table, so the server
+// cannot drift from the engine catalog) and the seed is zeroed for
+// seed-independent schedules, so equivalent requests converge on one runner
 // and one cache entry while randomized runs stay keyed by their seed.
-// Unknown schedule names pass through untouched — the Client constructor is
+// Unknown schedule names pass through untouched — resolving the runner is
 // the validator and reports ErrUnknownSchedule.
 //
 //ring:deterministic
-func keyFor(algorithm, language, schedule string, seed int64) clientKey {
+func keyFor(algorithm, language, schedule string, seed int64) runKey {
 	if schedule == "" {
 		schedule = "sequential"
 	} else {
@@ -211,132 +218,64 @@ func keyFor(algorithm, language, schedule string, seed int64) clientKey {
 	if !ring.ScheduleUsesSeed(schedule) {
 		seed = 0
 	}
-	return clientKey{algorithm: algorithm, language: language, schedule: schedule, seed: seed}
+	return runKey{algorithm: algorithm, language: language, schedule: schedule, seed: seed}
 }
 
-// cacheKey is the memo key of one word under a client key.
+// memoKey is the memo key of one word under a run key; the runner cache
+// uses the empty word.
 //
 //ring:deterministic
-func (ck clientKey) cacheKey(word string) memo.Key {
+func (k runKey) memoKey(word string) memo.Key {
 	return memo.Key{
-		Algorithm: ck.algorithm,
-		Language:  ck.language,
-		Schedule:  ck.schedule,
-		Seed:      ck.seed,
+		Algorithm: k.algorithm,
+		Language:  k.language,
+		Schedule:  k.schedule,
+		Seed:      k.seed,
 		Word:      word,
 	}
 }
 
-// clientEntry is one cached Client plus its recency stamp and reference
-// count. The refcount is what makes LRU eviction safe: an evicted entry's
-// Client is closed only after the last request holding it releases, so a
-// request that resolved its client just before the eviction still completes
-// normally instead of tripping over ErrClosed.
-type clientEntry struct {
-	client  *ringlang.Client
-	lastUse uint64
-	refs    int
-	evicted bool
+// runner resolves a key to its recognizer and engine. Construction —
+// recognizer building, DFA work for the regular algorithms — runs once per
+// key at a time and off any server lock; lookup failures wrap the catalog
+// sentinels (ErrUnknownAlgorithm, ErrUnknownLanguage, ErrUnknownSchedule)
+// and are not cached.
+func (s *Server) runner(k runKey) (*runner, error) {
+	rn, _, err := s.runners.Do(k.memoKey(""), func() (*runner, error) {
+		rec, err := core.NewRecognizerByName(k.algorithm, k.language)
+		if err != nil {
+			return nil, err
+		}
+		engine, err := ring.NewEngineByName(k.schedule, k.seed)
+		if err != nil {
+			return nil, err
+		}
+		return &runner{rec: rec, engine: engine, schedule: k.schedule}, nil
+	})
+	return rn, err
 }
 
-// acquireClient resolves (building and caching on first use) the entry of
-// one key and takes a reference on it. Callers must pair every successful
-// acquire with one releaseClient. The map is bounded by Config.MaxClients:
-// inserting past the bound evicts the least recently used entry, whose
-// Client is closed as soon as its in-flight requests release it — so a
-// request stream churning through fresh keys (every random seed is its own
-// key) cannot accumulate unbounded idle worker pools.
-func (s *Server) acquireClient(ck clientKey) (*clientEntry, error) {
+// admit takes one in-flight slot for engine work and registers the work
+// with Close, which waits for it before closing the pool. It fails with
+// ringlang.ErrClosed once Close has begun and with errOverloaded when every
+// slot is taken. The returned release must be called exactly once, when the
+// pool work is done.
+func (s *Server) admit() (release func(), err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil, ringlang.ErrClosed
 	}
-	s.useSeq++
-	if e, ok := s.clients[ck]; ok {
-		e.lastUse = s.useSeq
-		e.refs++
-		s.mu.Unlock()
-		return e, nil
-	}
-	s.mu.Unlock()
-
-	// Construction — recognizer building, DFA work for the regular
-	// algorithms — happens off the server lock so one cold key never
-	// serializes unrelated requests. The map is re-checked on reacquire; a
-	// lost build race discards this client (Closing a never-used client is
-	// a no-op, it has no pool yet).
-	c, err := ringlang.NewClient(ck.algorithm, ck.language,
-		ringlang.WithSchedule(ck.schedule),
-		ringlang.WithSeed(ck.seed),
-		ringlang.WithWorkers(s.cfg.Workers),
-		ringlang.WithSharedPrefixCache(s.prefix),
-	)
-	if err != nil {
-		return nil, err
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		c.Close()
-		return nil, ringlang.ErrClosed
-	}
-	s.useSeq++
-	if e, ok := s.clients[ck]; ok {
-		e.lastUse = s.useSeq
-		e.refs++
-		s.mu.Unlock()
-		c.Close()
-		return e, nil
-	}
-	var evict *ringlang.Client
-	if len(s.clients) >= s.cfg.MaxClients {
-		var oldestKey clientKey
-		var oldest *clientEntry
-		for k, e := range s.clients {
-			if oldest == nil || e.lastUse < oldest.lastUse {
-				oldestKey, oldest = k, e
-			}
-		}
-		delete(s.clients, oldestKey)
-		oldest.evicted = true
-		if oldest.refs == 0 {
-			evict = oldest.client
-		}
-	}
-	e := &clientEntry{client: c, lastUse: s.useSeq, refs: 1}
-	s.clients[ck] = e
-	s.mu.Unlock()
-	if evict != nil {
-		// Close waits for the client's internal work; do it off the server
-		// lock so eviction never stalls unrelated requests.
-		go evict.Close()
-	}
-	return e, nil
-}
-
-// releaseClient drops one reference; the last release of an evicted entry
-// closes its Client.
-func (s *Server) releaseClient(e *clientEntry) {
-	s.mu.Lock()
-	e.refs--
-	shouldClose := e.evicted && e.refs == 0
-	s.mu.Unlock()
-	if shouldClose {
-		e.client.Close()
-	}
-}
-
-// admit takes one in-flight slot, or reports that the server is saturated.
-// The returned release func must be called exactly once when admitted.
-func (s *Server) admit() (release func(), ok bool) {
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, true
 	default:
-		return nil, false
+		return nil, errOverloaded
 	}
+	s.running.Add(1)
+	return func() {
+		s.running.Done()
+		<-s.sem
+	}, nil
 }
 
 // inflight is the number of currently admitted run requests.
@@ -349,9 +288,9 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-// isClosed reports whether Close has begun. Handlers that can answer without
-// acquireClient (the recognize cache fast path) must check it themselves so
-// a closed server answers 503 uniformly, warm keys included.
+// isClosed reports whether Close has begun. Handlers check it before the
+// cache lookups, so a closed server answers 503 uniformly, warm keys
+// included.
 func (s *Server) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -368,6 +307,6 @@ func (s *Server) String() string {
 	if s.prefix != nil {
 		prefix = fmt.Sprintf("%d bytes", s.cfg.PrefixCacheBytes)
 	}
-	return fmt.Sprintf("ringserve: cache=%s prefixCache=%s maxInFlight=%d maxBatchWords=%d",
-		cache, prefix, s.cfg.MaxInFlight, s.cfg.MaxBatchWords)
+	return fmt.Sprintf("ringserve: workers=%d cache=%s prefixCache=%s maxInFlight=%d maxBatchWords=%d",
+		s.pool.Workers(), cache, prefix, s.cfg.MaxInFlight, s.cfg.MaxBatchWords)
 }

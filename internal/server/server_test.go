@@ -610,34 +610,6 @@ func TestBeginDrainKeepsServing(t *testing.T) {
 	}
 }
 
-// TestClientMapEviction pins the bounded client map: churning through
-// distinct keys (random seeds) closes and evicts old clients instead of
-// accumulating their worker pools, and an evicted key simply rebuilds.
-func TestClientMapEviction(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxClients: 2})
-	for seed := 1; seed <= 8; seed++ {
-		status := postJSON(t, ts.URL+"/v1/recognize", runRequest{
-			Algorithm: "three-counters", Schedule: "random", Seed: int64(seed), Word: "001122",
-		}, nil)
-		if status != http.StatusOK {
-			t.Fatalf("seed %d: status %d", seed, status)
-		}
-	}
-	s.mu.Lock()
-	n := len(s.clients)
-	s.mu.Unlock()
-	if n > 2 {
-		t.Errorf("client map grew to %d entries, want ≤ 2", n)
-	}
-	// An evicted key still serves (rebuilt client, report from cache).
-	var got reportPayload
-	if status := postJSON(t, ts.URL+"/v1/recognize", runRequest{
-		Algorithm: "three-counters", Schedule: "random", Seed: 1, Word: "001122",
-	}, &got); status != http.StatusOK || !got.Cached {
-		t.Errorf("evicted key = %d cached=%v", status, got.Cached)
-	}
-}
-
 // TestSeedKeyNormalization pins the cache-safety rule: deterministic
 // schedules share entries across seeds, randomized ones never do.
 func TestSeedKeyNormalization(t *testing.T) {

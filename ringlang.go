@@ -37,16 +37,10 @@
 // ErrClosed). Close is idempotent and safe under concurrent calls; a closed
 // client reports ErrClosed instead of panicking. CurrentCatalog exposes the
 // algorithm/language/schedule name catalogs in one value — what `ringbench
-// -list` prints and ringserve serves at /v1/catalog. The package-level
-// Recognize and RecognizeBatch functions are the deprecated v1 surface, kept
-// as thin wrappers over a per-call client.
+// -list` prints and ringserve serves at /v1/catalog.
 package ringlang
 
 import (
-	"context"
-	"errors"
-	"fmt"
-
 	"ringlang/internal/core"
 	"ringlang/internal/lang"
 	"ringlang/internal/memo"
@@ -137,157 +131,16 @@ type Report struct {
 	Trace Trace
 }
 
-// Options configures the deprecated package-level Recognize and
-// RecognizeBatch wrappers. New code should build a Client with functional
-// options instead.
-type Options struct {
-	// Concurrent runs the goroutine-per-processor engine instead of the
-	// deterministic sequential one. Shorthand for Schedule == "concurrent".
-	Concurrent bool
-	// Schedule selects the delivery schedule by name — one of
-	// ScheduleNames(): "sequential", "random", "round-robin", "adversarial",
-	// "concurrent", "sharded", "lossy", "duplicating", "crash-restart",
-	// "crash-repair". Empty means sequential (or concurrent when Concurrent is
-	// set). The paper's bounds hold under every exactly-once schedule;
-	// sweeping this knob is how that is checked.
-	Schedule string
-	// Seed drives randomized schedules (Schedule == "random").
-	Seed int64
-	// Workers is the number of worker goroutines RecognizeBatch fans words
-	// across; values < 1 mean one worker per CPU (runtime.GOMAXPROCS).
-	// Single-word Recognize calls ignore it.
-	Workers int
-}
-
-// schedule resolves the effective schedule name.
-func (o Options) schedule() string {
-	if o.Schedule != "" {
-		return o.Schedule
-	}
-	if o.Concurrent {
-		return "concurrent"
-	}
-	return "sequential"
-}
-
-// clientOptions maps the v1 Options onto the Client's functional options.
-func (o Options) clientOptions() []Option {
-	return []Option{
-		WithSchedule(o.schedule()),
-		WithSeed(o.Seed),
-		WithWorkers(o.Workers),
-	}
-}
-
-// Recognize builds the named algorithm (see AlgorithmNames) and runs it on
-// the ring labelled with word.
-//
-// Deprecated: build a Client with NewClient and call Client.Recognize, which
-// takes a context.Context and reuses the resolved algorithm and engine
-// across calls. This wrapper constructs a fresh client per call and runs it
-// under context.Background.
-func Recognize(algorithm, language string, word Word, opts Options) (*Report, error) {
-	c, err := NewClient(algorithm, language, opts.clientOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Recognize(context.Background(), word)
-}
-
-// RecognizeWith runs an already constructed recognizer.
-//
-// Deprecated: build a Client with NewClientWith and call Client.Recognize.
-func RecognizeWith(rec Recognizer, word Word, opts Options) (*Report, error) {
-	c, err := NewClientWith(rec, opts.clientOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Recognize(context.Background(), word)
-}
-
-// RecognizeBatch builds the named algorithm once and runs it on every word
-// across a worker pool. Reports are returned in word order and are exactly
-// what per-word Recognize calls would produce, under every schedule. The
-// first failing word fails the whole batch and discards the other words'
-// reports — the v1 contract this wrapper preserves.
-//
-// Deprecated: build a Client with NewClient and call Client.Batch (per-word
-// Results, no fail-all) or Client.Stream (results as workers finish), both
-// of which take a context.Context.
-func RecognizeBatch(algorithm, language string, words []Word, opts Options) ([]*Report, error) {
-	c, err := NewClient(algorithm, language, opts.clientOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	return failAll(c.Batch(context.Background(), words), words)
-}
-
-// RecognizeBatchWith runs an already constructed recognizer on every word in
-// parallel; see RecognizeBatch.
-//
-// Deprecated: build a Client with NewClientWith and call Client.Batch or
-// Client.Stream.
-func RecognizeBatchWith(rec Recognizer, words []Word, opts Options) ([]*Report, error) {
-	c, err := NewClientWith(rec, opts.clientOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	return failAll(c.Batch(context.Background(), words), words)
-}
-
-// BatchWordError is the error the v1 all-or-nothing batch calls
-// (RecognizeBatch, RecognizeBatchWith) return when a word fails: it names
-// the failing word and its index as fields, so callers classify the failure
-// with errors.As instead of parsing the message, and the cause stays
-// reachable through Unwrap (errors.Is against the package sentinels keeps
-// working through it).
-type BatchWordError struct {
-	// Index is the failing word's position in the batch.
-	Index int
-	// Word is the failing word's string form.
-	Word string
-	// Err is the underlying cause.
-	Err error
-}
-
-// Error implements error with the v1 message format.
-func (e *BatchWordError) Error() string {
-	return fmt.Sprintf("ringlang: word %d (%q): %v", e.Index, e.Word, e.Err)
-}
-
-// Unwrap exposes the cause to errors.Is and errors.As.
-func (e *BatchWordError) Unwrap() error { return e.Err }
-
-// failAll converts per-word Results into the v1 all-or-nothing shape: the
-// first word with an error fails the batch with a BatchWordError — the
-// client's own "ringlang:" wrap is peeled off so the prefix is not doubled.
-func failAll(results []Result, words []Word) ([]*Report, error) {
-	reports := make([]*Report, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			cause := r.Err
-			if inner := errors.Unwrap(cause); inner != nil {
-				cause = inner
-			}
-			return nil, &BatchWordError{Index: i, Word: words[i].String(), Err: cause}
-		}
-		reports[i] = r.Report
-	}
-	return reports, nil
-}
-
 // Catalog is the package's run surface in one value: every algorithm,
 // language and schedule name the constructors accept. It is what
 // `ringbench -list` prints and what ringserve serves at /v1/catalog, so the
 // CLI, the HTTP API and the docs-drift CI check all describe the same set.
 type Catalog struct {
-	// Algorithms are the names accepted by NewClient and Recognize.
+	// Algorithms are the names accepted by NewClient.
 	Algorithms []string
 	// Languages are the names accepted by algorithms that take one.
 	Languages []string
-	// Schedules are the names accepted by WithSchedule and Options.Schedule.
+	// Schedules are the names accepted by WithSchedule.
 	Schedules []string
 }
 
@@ -301,19 +154,18 @@ func CurrentCatalog() Catalog {
 	}
 }
 
-// AlgorithmNames lists the algorithms accepted by NewClient and Recognize.
+// AlgorithmNames lists the algorithms accepted by NewClient.
 func AlgorithmNames() []string {
 	return core.AlgorithmNames()
 }
 
-// LanguageNames lists the language names accepted by NewClient and Recognize
-// for the algorithms that take one.
+// LanguageNames lists the language names accepted by NewClient for the
+// algorithms that take one.
 func LanguageNames() []string {
 	return lang.CatalogNames()
 }
 
-// ScheduleNames lists the delivery schedules accepted by WithSchedule and
-// Options.Schedule.
+// ScheduleNames lists the delivery schedules accepted by WithSchedule.
 func ScheduleNames() []string {
 	return ring.ScheduleNames()
 }
@@ -338,10 +190,9 @@ func ScheduleDeliveryGuarantee(name string) DeliveryGuarantee {
 }
 
 // ScheduleUsesSeed reports whether the named schedule's delivery order or
-// fault pattern is driven by WithSeed / Options.Seed ("random" and the fault
-// schedules). Seedless schedules ignore the seed — callers building cache
-// keys or validating flags should branch on this instead of enumerating
-// names.
+// fault pattern is driven by WithSeed ("random" and the fault schedules).
+// Seedless schedules ignore the seed — callers building cache keys or
+// validating flags should branch on this instead of enumerating names.
 func ScheduleUsesSeed(name string) bool {
 	return ring.ScheduleUsesSeed(name)
 }

@@ -1,9 +1,21 @@
 package ringlang
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
+
+// recognize runs one word on a fresh client, the shape of a one-off call.
+func recognize(t *testing.T, algorithm, language, word string, opts ...Option) (*Report, error) {
+	t.Helper()
+	client, err := NewClient(algorithm, language, opts...)
+	if err != nil {
+		return nil, err
+	}
+	defer client.Close()
+	return client.Recognize(context.Background(), WordFromString(word))
+}
 
 func TestRecognizeFacade(t *testing.T) {
 	cases := []struct {
@@ -19,7 +31,7 @@ func TestRecognizeFacade(t *testing.T) {
 		{"regular-one-pass", "even-ones", "0111", VerdictReject},
 	}
 	for _, c := range cases {
-		report, err := Recognize(c.algorithm, c.language, WordFromString(c.word), Options{})
+		report, err := recognize(t, c.algorithm, c.language, c.word)
 		if err != nil {
 			t.Fatalf("Recognize(%s, %q): %v", c.algorithm, c.word, err)
 		}
@@ -36,11 +48,11 @@ func TestRecognizeFacade(t *testing.T) {
 }
 
 func TestRecognizeConcurrentOption(t *testing.T) {
-	seq, err := Recognize("three-counters", "", WordFromString("000111222"), Options{})
+	seq, err := recognize(t, "three-counters", "", "000111222")
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := Recognize("three-counters", "", WordFromString("000111222"), Options{Concurrent: true})
+	conc, err := recognize(t, "three-counters", "", "000111222", WithSchedule("concurrent"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +65,8 @@ func TestRecognizeConcurrentOption(t *testing.T) {
 }
 
 func TestRecognizeScheduleOption(t *testing.T) {
-	word := WordFromString("000111222")
-	base, err := Recognize("three-counters", "", word, Options{})
+	const word = "000111222"
+	base, err := recognize(t, "three-counters", "", word)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +74,7 @@ func TestRecognizeScheduleOption(t *testing.T) {
 		t.Errorf("default schedule = %q, want sequential", base.Schedule)
 	}
 	for _, schedule := range ScheduleNames() {
-		report, err := Recognize("three-counters", "", word, Options{Schedule: schedule, Seed: 5})
+		report, err := recognize(t, "three-counters", "", word, WithSchedule(schedule), WithSeed(5))
 		if ScheduleDeliveryGuarantee(schedule) != DeliveryExactlyOnce {
 			// A raw algorithm under weaker-than-exactly-once delivery is
 			// refused, typed — never run into a silently wrong verdict.
@@ -84,7 +96,7 @@ func TestRecognizeScheduleOption(t *testing.T) {
 			t.Errorf("schedule %q: UsedConcurrentRun = %v", schedule, report.UsedConcurrentRun)
 		}
 	}
-	if _, err := Recognize("three-counters", "", word, Options{Schedule: "bogus"}); err == nil {
+	if _, err := recognize(t, "three-counters", "", word, WithSchedule("bogus")); err == nil {
 		t.Error("expected error for unknown schedule")
 	}
 	if len(ScheduleNames()) < 5 {
@@ -93,10 +105,10 @@ func TestRecognizeScheduleOption(t *testing.T) {
 }
 
 func TestRecognizeErrors(t *testing.T) {
-	if _, err := Recognize("bogus", "", WordFromString("ab"), Options{}); err == nil {
+	if _, err := recognize(t, "bogus", "", "ab"); err == nil {
 		t.Error("expected error for unknown algorithm")
 	}
-	if _, err := Recognize("three-counters", "", WordFromString(""), Options{}); err == nil {
+	if _, err := recognize(t, "three-counters", "", ""); err == nil {
 		t.Error("expected error for empty ring")
 	}
 }
