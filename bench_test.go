@@ -302,8 +302,11 @@ func BenchmarkA3EngineOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroBitsCodec — encoder/decoder hot path.
-func BenchmarkMicroBitsCodec(b *testing.B) {
+// BenchmarkMicroCountRun times one whole cold run of the square-length
+// count recognizer (a δ-coded counter on the sequential engine) at n = 1024:
+// node construction, the engine loop and the codec together. The codec on
+// its own is BenchmarkCodec in internal/bits.
+func BenchmarkMicroCountRun(b *testing.B) {
 	rec := core.NewSquareCount()
 	word := lang.RandomWord(rec.Language().Alphabet(), 1024, rand.New(rand.NewSource(2)))
 	b.ReportAllocs()

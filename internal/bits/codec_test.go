@@ -1,6 +1,7 @@
 package bits
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -150,6 +151,107 @@ func TestReaderTruncation(t *testing.T) {
 	}
 	if _, err := NewReader(Empty()).ReadEliasGamma(); err == nil {
 		t.Fatal("expected truncation error for gamma on empty payload")
+	}
+}
+
+// TestGammaRejectsOverlongPrefix: a γ code of a uint64 has at most 63 zeros
+// before its leading 1. With 64 zeros the value would need 65 bits, so it
+// must be a range error, not a silent wrap (64 zeros, a 1 and 64 zeros once
+// decoded to 0, and ReadGammaValue to 2⁶⁴−1).
+func TestGammaRejectsOverlongPrefix(t *testing.T) {
+	for _, zeros := range []int{64, 65, 100} {
+		var w Writer
+		for range zeros {
+			w.WriteBool(false)
+		}
+		w.WriteBool(true)
+		w.WriteUint(0, 64)
+		w.WriteUint(0, zeros-64)
+		s := w.String()
+		decoders := map[string]func(r *Reader) (uint64, error){
+			"ReadEliasGamma": (*Reader).ReadEliasGamma,
+			"ReadGammaValue": (*Reader).ReadGammaValue,
+			"ReadDeltaValue": (*Reader).ReadDeltaValue,
+		}
+		for name, decode := range decoders {
+			v, err := decode(NewReader(s))
+			if err == nil {
+				t.Errorf("%s of a %d-zero prefix = %d, want a range error", name, zeros, v)
+			} else if errors.Is(err, ErrTruncated) {
+				t.Errorf("%s of a %d-zero prefix: %v; the code is complete, so it is a range error, not truncation", name, zeros, err)
+			}
+		}
+	}
+	// 63 zeros is the longest valid prefix.
+	var w Writer
+	w.WriteEliasGamma(1 << 63)
+	if w.Len() != 127 {
+		t.Fatalf("gamma(2^63) is %d bits, want 127", w.Len())
+	}
+	if v, err := NewReader(w.String()).ReadEliasGamma(); err != nil || v != 1<<63 {
+		t.Fatalf("ReadEliasGamma(gamma(2^63)) = %d, %v", v, err)
+	}
+}
+
+// TestReadTruncatedAtEveryBit cuts a valid stream at every bit of its last
+// field. A read that runs past the end must fail with ErrTruncated, and a
+// failed ReadUint must leave the reader where it was. Each cut string is a
+// view of exactly ⌈cut/8⌉ bytes, as the engine's arena hands payloads out.
+func TestReadTruncatedAtEveryBit(t *testing.T) {
+	cut := func(s String, n int) String { return View(s.Raw()[:(n+7)/8], n) }
+	for align := 0; align < 8; align++ {
+		for width := 1; width <= 64; width++ {
+			var w Writer
+			w.WriteUint(0x5A, align)
+			w.WriteUint(0xA5C3_F00F_1E2D_3C4B, width)
+			full := w.String()
+			for n := align; n < align+width; n++ {
+				r := NewReader(cut(full, n))
+				if _, err := r.ReadUint(align); err != nil {
+					t.Fatalf("align %d: %v", align, err)
+				}
+				_, err := r.ReadUint(width)
+				if !errors.Is(err, ErrTruncated) {
+					t.Fatalf("ReadUint(%d) at bit %d of %d: err %v, want ErrTruncated", width, align, n, err)
+				}
+				if r.Remaining() != n-align {
+					t.Fatalf("ReadUint(%d) at bit %d of %d moved the reader: %d bits remain, want %d", width, align, n, r.Remaining(), n-align)
+				}
+			}
+		}
+	}
+	for _, v := range []uint64{1, 2, 5, 1000, 1<<32 - 1, 1 << 32, 1<<54 - 1, 1 << 54, math.MaxUint64} {
+		for align := 0; align < 8; align++ {
+			for _, code := range []struct {
+				name   string
+				encode func(*Writer, uint64)
+				decode func(*Reader) (uint64, error)
+			}{
+				{"gamma", (*Writer).WriteEliasGamma, (*Reader).ReadEliasGamma},
+				{"delta", (*Writer).WriteEliasDelta, (*Reader).ReadEliasDelta},
+			} {
+				var w Writer
+				w.WriteUint(0x5A, align)
+				code.encode(&w, v)
+				full := w.String()
+				for n := align; n < full.Len(); n++ {
+					r := NewReader(cut(full, n))
+					if _, err := r.ReadUint(align); err != nil {
+						t.Fatal(err)
+					}
+					if got, err := code.decode(r); !errors.Is(err, ErrTruncated) {
+						t.Fatalf("%s(%d) cut to %d bits at align %d: got %d, err %v, want ErrTruncated", code.name, v, n, align, got, err)
+					}
+				}
+				r := NewReader(full)
+				if _, err := r.ReadUint(align); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := code.decode(r); err != nil || got != v || !r.AtEnd() {
+					t.Fatalf("%s(%d) at align %d: got %d, err %v, %d bits left", code.name, v, align, got, err, r.Remaining())
+				}
+			}
+		}
 	}
 }
 

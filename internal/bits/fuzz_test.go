@@ -7,12 +7,16 @@ package bits
 // `go test -fuzz=FuzzX ./internal/bits` extend the corpus.
 
 import (
+	"bytes"
+	"encoding/binary"
+	"strconv"
+	"strings"
 	"testing"
 )
 
 // FuzzUintRoundTrip checks fixed-width fields at every alignment: a prefix of
-// `pad` bits shifts the field off byte boundaries, exercising the
-// byte-at-a-time fast paths' unaligned branches.
+// `pad` bits shifts the field off byte boundaries, so a field shares its
+// first and last bytes with its neighbours.
 func FuzzUintRoundTrip(f *testing.F) {
 	f.Add(uint64(0), 1, uint(0))
 	f.Add(uint64(1), 1, uint(1))
@@ -147,6 +151,150 @@ func FuzzReaderRobust(f *testing.F) {
 					break
 				}
 			}
+		}
+	})
+}
+
+// refOp is one field of FuzzCodecMatchesReference's op sequence.
+type refOp struct {
+	kind  byte // 0 bool, 1 uint, 2 gamma, 3 delta, 4 unary
+	v     uint64
+	width int
+}
+
+// refCode is the op's codeword as '0'/'1' text, built from the definitions
+// alone: MSB first; γ(v) is ⌊log₂v⌋ zeros then v in binary; δ(v) is γ of
+// v's digit count then v's digits after the leading 1; unary(v) is v ones
+// then a zero.
+func refCode(op refOp) string {
+	switch op.kind {
+	case 0:
+		return strconv.FormatUint(op.v, 2)
+	case 1:
+		width := min(op.width, 64)
+		var sb strings.Builder
+		for i := width - 1; i >= 0; i-- {
+			sb.WriteByte('0' + byte(op.v>>uint(i)&1))
+		}
+		return sb.String()
+	case 2:
+		bin := strconv.FormatUint(op.v, 2)
+		return strings.Repeat("0", len(bin)-1) + bin
+	case 3:
+		bin := strconv.FormatUint(op.v, 2)
+		return refCode(refOp{kind: 2, v: uint64(len(bin))}) + bin[1:]
+	default:
+		return strings.Repeat("1", int(op.v)) + "0"
+	}
+}
+
+// refPack packs '0'/'1' text MSB-first into bytes, zero-padding the last.
+func refPack(text string) []byte {
+	out := make([]byte, (len(text)+7)/8)
+	for i := range len(text) {
+		if text[i] == '1' {
+			out[i/8] |= 0x80 >> (i % 8)
+		}
+	}
+	return out
+}
+
+// FuzzCodecMatchesReference checks the codec against an oracle that shares
+// no code with it. The round-trip targets above only check that Writer and
+// Reader agree, so a mistake mirrored on both sides (LSB-first packing, say)
+// passes them; here the Writer's output must equal, bit for bit and byte for
+// byte, the codewords refCode builds from their definitions, and the Reader
+// must then return every value.
+func FuzzCodecMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 1, 13, 0, 0, 0, 0, 0, 0, 0x1F, 0xFF, 2, 0, 0, 0, 0, 0, 0, 0, 41})
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0x10, 0, 1, 71, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 4, 130})
+	f.Add([]byte{0, 0, 3, 0x80, 0, 0, 0, 0, 0, 0, 0, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		word := func() uint64 {
+			var buf [8]byte
+			prog = prog[copy(buf[:], prog):]
+			return binary.BigEndian.Uint64(buf[:])
+		}
+		var ops []refOp
+		for len(prog) > 0 && len(ops) < 64 {
+			op := refOp{kind: prog[0] % 5}
+			prog = prog[1:]
+			switch op.kind {
+			case 0:
+				op.v = word() & 1
+			case 1:
+				if len(prog) > 0 {
+					op.width = int(prog[0]) % 81
+					prog = prog[1:]
+				}
+				op.v = word()
+				if op.width < 64 {
+					op.v &= 1<<uint(op.width) - 1
+				}
+			case 2, 3:
+				op.v = max(word(), 1)
+			case 4:
+				if len(prog) > 0 {
+					op.v = uint64(prog[0]) % 200
+					prog = prog[1:]
+				}
+			}
+			ops = append(ops, op)
+		}
+
+		var w Writer
+		var ref strings.Builder
+		for _, op := range ops {
+			switch op.kind {
+			case 0:
+				w.WriteBool(op.v == 1)
+			case 1:
+				w.WriteUint(op.v, op.width)
+			case 2:
+				w.WriteEliasGamma(op.v)
+			case 3:
+				w.WriteEliasDelta(op.v)
+			case 4:
+				w.WriteUnary(op.v)
+			}
+			ref.WriteString(refCode(op))
+		}
+		want := ref.String()
+		s := w.String()
+		if got := s.Binary(); got != want {
+			t.Fatalf("ops %v:\nwriter    %s\nreference %s", ops, got, want)
+		}
+		if got, wantBytes := w.BitString().Raw(), refPack(want); !bytes.Equal(got, wantBytes) {
+			t.Fatalf("ops %v: writer bytes %x, reference %x", ops, got, wantBytes)
+		}
+
+		r := NewReader(s)
+		for i, op := range ops {
+			var got uint64
+			var err error
+			switch op.kind {
+			case 0:
+				var b bool
+				b, err = r.ReadBool()
+				if b {
+					got = 1
+				}
+			case 1:
+				got, err = r.ReadUint(op.width)
+			case 2:
+				got, err = r.ReadEliasGamma()
+			case 3:
+				got, err = r.ReadEliasDelta()
+			case 4:
+				got, err = r.ReadUnary()
+			}
+			if err != nil || got != op.v {
+				t.Fatalf("op %d %+v: read %d, err %v", i, op, got, err)
+			}
+		}
+		if !r.AtEnd() {
+			t.Fatalf("%d bits left over", r.Remaining())
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package bits
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -65,6 +66,26 @@ func MustFromBinary(s string) String {
 // payload arenas use it to hand queued messages back out of flat storage.
 func View(data []byte, n int) String {
 	return String{data: data, n: n}
+}
+
+// load64 returns the first 8 bytes of data as a big-endian word. When data
+// is shorter, the missing bytes read as zero: it never indexes at or past
+// len(data), because payloads are views into flat arenas whose next bytes
+// belong to other messages. Short tails take two overlapping loads.
+func load64(data []byte) uint64 {
+	switch n := uint(len(data)); {
+	case n >= 8:
+		return binary.BigEndian.Uint64(data)
+	case n >= 4:
+		return uint64(binary.BigEndian.Uint32(data))<<32 |
+			uint64(binary.BigEndian.Uint32(data[n-4:]))<<(64-8*n)
+	case n >= 2:
+		return uint64(binary.BigEndian.Uint16(data))<<48 |
+			uint64(binary.BigEndian.Uint16(data[n-2:]))<<(64-8*n)
+	case n == 1:
+		return uint64(data[0]) << 56
+	}
+	return 0
 }
 
 // Raw returns the packed backing bytes of the string — ceil(Len/8) bytes,

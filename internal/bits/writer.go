@@ -1,9 +1,17 @@
 package bits
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Writer composes a bit string field by field. The zero value is ready to
 // use. Writers are not safe for concurrent use.
+//
+// data holds the n bits written so far, packed MSB-first: len(data) is
+// ⌈n/8⌉ and the unused low bits of the last byte are zero. Bytes past
+// len(data) are spare capacity with unspecified contents, which lets every
+// write be one 8-byte big-endian store.
 type Writer struct {
 	data []byte
 	n    int
@@ -18,23 +26,21 @@ func (w *Writer) Len() int {
 //
 //ring:hotpath guard=TestCodecHotPathAllocs
 func (w *Writer) WriteBool(b bool) {
-	byteIdx := w.n / 8
-	if byteIdx == len(w.data) {
-		w.data = append(w.data, 0) //ring:prealloc -- the writer's backing is reused scratch; growth is warm-up only
-	}
+	var v uint64
 	if b {
-		bitIdx := uint(7 - w.n%8)
-		w.data[byteIdx] |= 1 << bitIdx
+		v = 1
 	}
-	w.n++
+	w.WriteUint(v, 1)
 }
 
 // WriteUint appends the low `width` bits of v, most significant bit first.
 // Width zero writes nothing. Widths above 64 are clamped to 64.
 //
-// The write proceeds a byte at a time regardless of the writer's current bit
-// alignment: every message codec funnels through here (fixed-width fields and
-// the binary tails of the Elias codes), so this is the encode hot path.
+// Every message codec funnels through here (fixed-width fields and whole
+// Elias codewords), so this is the encode hot path: the field is shifted
+// into place behind the bits already in the current byte and stored as one
+// big-endian word, plus one byte when an unaligned 58–64-bit field spills
+// past it.
 //
 //ring:hotpath guard=TestCodecHotPathAllocs
 func (w *Writer) WriteUint(v uint64, width int) {
@@ -43,59 +49,59 @@ func (w *Writer) WriteUint(v uint64, width int) {
 	}
 	if width > 64 {
 		width = 64
-	} else {
-		v &= 1<<uint(width) - 1
 	}
-	for width > 0 {
-		off := w.n % 8
-		if off == 0 {
-			w.data = append(w.data, 0) //ring:prealloc -- the writer's backing is reused scratch; growth is warm-up only
-		}
-		space := 8 - off
-		k := width
-		if k > space {
-			k = space
-		}
-		chunk := byte(v >> uint(width-k))
-		w.data[len(w.data)-1] |= chunk << uint(space-k)
-		w.n += k
-		width -= k
+	i := w.n >> 3
+	if cap(w.data)-i < 9 {
+		w.grow()
 	}
+	off := uint(w.n) & 7
+	span := w.data[i : i+9]
+	// Keep the current byte's first off bits; v follows them MSB-aligned,
+	// and every bit after v is zero.
+	word := uint64(span[0]&^(0xFF>>off))<<56 | v<<(64-uint(width))>>off
+	binary.BigEndian.PutUint64(span, word)
+	if spill := int(off) + width - 64; spill > 0 {
+		span[8] = byte(v << (8 - uint(spill)))
+	}
+	w.n += width
+	w.data = w.data[:(w.n+7)>>3]
 }
 
-// WriteString appends an existing bit string, a byte at a time.
+// grow reallocates data with room for a 9-byte store at the byte holding
+// bit n. A reused writer keeps its backing across Reset, so this runs only
+// while a writer warms up.
+func (w *Writer) grow() {
+	data := make([]byte, len(w.data), 2*cap(w.data)+16)
+	copy(data, w.data)
+	w.data = data
+}
+
+// WriteString appends an existing bit string, 64 bits per write.
 func (w *Writer) WriteString(s String) {
-	full := s.n / 8
-	for i := 0; i < full; i++ {
-		w.WriteUint(uint64(s.data[i]), 8)
+	data, n := s.data, s.n
+	for ; n >= 64; n -= 64 {
+		w.WriteUint(binary.BigEndian.Uint64(data), 64)
+		data = data[8:]
 	}
-	if rem := s.n % 8; rem > 0 {
-		w.WriteUint(uint64(s.data[full]>>uint(8-rem)), rem)
+	if n > 0 {
+		w.WriteUint(load64(data[:(n+7)>>3])>>(64-uint(n)), n)
 	}
 }
 
 // WriteUnary appends v as a unary code: v ones followed by a zero. It is used
 // only by tests and by deliberately wasteful baseline encodings, whose runs of
-// ones grow linearly with the ring size — hence the whole-byte fast path.
+// ones grow linearly with the ring size, so it writes 64 ones at a time.
 func (w *Writer) WriteUnary(v uint64) {
-	for v > 0 && w.n%8 != 0 {
-		w.WriteBool(true)
-		v--
+	for ; v >= 64; v -= 64 {
+		w.WriteUint(^uint64(0), 64)
 	}
-	for v >= 8 {
-		w.data = append(w.data, 0xFF)
-		w.n += 8
-		v -= 8
-	}
-	for ; v > 0; v-- {
-		w.WriteBool(true)
-	}
-	w.WriteBool(false)
+	w.WriteUint(1<<64-2, int(v)+1) // v ones, then the zero
 }
 
 // WriteEliasGamma appends v >= 1 using the Elias gamma code
 // (⌊log2 v⌋ zeros, then the binary representation of v). The code length is
-// 2⌊log2 v⌋ + 1 bits.
+// 2⌊log2 v⌋ + 1 bits, and the codeword is v itself written at that width:
+// one write for v < 2³², two above.
 func (w *Writer) WriteEliasGamma(v uint64) {
 	if v == 0 {
 		// Gamma is defined for positive integers; shift by one so that the
@@ -103,6 +109,10 @@ func (w *Writer) WriteEliasGamma(v uint64) {
 		v = 1
 	}
 	n := bits.Len64(v) - 1 // ⌊log2 v⌋
+	if n < 32 {
+		w.WriteUint(v, 2*n+1)
+		return
+	}
 	w.WriteUint(0, n)
 	w.WriteUint(v, n+1)
 }
@@ -114,14 +124,21 @@ func (w *Writer) WriteGammaValue(v uint64) {
 }
 
 // WriteEliasDelta appends v >= 1 using the Elias delta code (the length of v
-// is itself gamma coded). Asymptotically log2 v + O(log log v) bits.
+// is itself gamma coded). Asymptotically log2 v + O(log log v) bits. The
+// whole codeword is one write for v < 2⁵⁴, two above.
 func (w *Writer) WriteEliasDelta(v uint64) {
 	if v == 0 {
 		v = 1
 	}
-	n := bits.Len64(v) // number of binary digits of v
-	w.WriteEliasGamma(uint64(n))
-	// Emit v without its leading 1 bit (the gamma code of n carries it).
+	n := bits.Len64(v)             // number of binary digits of v
+	m := bits.Len64(uint64(n)) - 1 // ⌊log2 n⌋: the gamma code of n is 2m+1 bits
+	if width := 2*m + n; width <= 64 {
+		// The gamma code of n is n at width 2m+1; v's bits after its
+		// leading 1 follow, so n takes the place of that 1.
+		w.WriteUint(uint64(n)<<uint(n-1)|v&^(1<<uint(n-1)), width)
+		return
+	}
+	w.WriteUint(uint64(n), 2*m+1)
 	w.WriteUint(v, n-1)
 }
 
