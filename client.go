@@ -316,11 +316,10 @@ func (c *Client) Batch(ctx context.Context, words []Word) []Result {
 		return closedResults(len(words))
 	}
 	defer c.inflight.Done()
-	results := pool.RunBatchContext(ctx, c.jobs(words))
 	out := make([]Result, len(words))
-	for i, r := range results {
+	pool.RunEach(ctx, c.jobs(words), func(i int, r exec.Result) {
 		out[i] = c.result(words[i], r)
-	}
+	})
 	return out
 }
 
@@ -395,12 +394,14 @@ func (c *Client) jobs(words []Word) []exec.Job {
 	return jobs
 }
 
-// result converts one exec result into the facade shape.
+// result converts one exec result into the facade shape. The pool lends r
+// only until its deliver callback returns, so the report keeps a copy of
+// the stats.
 func (c *Client) result(word Word, r exec.Result) Result {
 	if r.Err != nil {
 		return Result{Err: fmt.Errorf("ringlang: %w", r.Err)}
 	}
-	report := c.newReport(word, r.Verdict, r.Stats)
+	report := c.newReport(word, r.Verdict, r.Stats.Clone())
 	report.Faults = r.Faults
 	report.Trace = r.Trace
 	return Result{Report: report}

@@ -549,3 +549,46 @@ func TestClientPresize(t *testing.T) {
 		}
 	}
 }
+
+// TestClientKeptReportsSurviveLaterBatches pins that Batch and Stream
+// reports own their stats: on a one-worker client, every run reuses the same
+// worker state, yet the reports of an earlier call still equal a cold
+// core.Run's per-link stats after a later batch of same-length words.
+func TestClientKeptReportsSurviveLaterBatches(t *testing.T) {
+	a := []Word{WordFromString("000111222"), WordFromString("012012012")}
+	b := []Word{WordFromString("001122012"), WordFromString("222111000")}
+	for _, schedule := range []string{"sequential", "random"} {
+		c, err := NewClient("three-counters", "", WithSchedule(schedule), WithSeed(5), WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := make([]*Report, 0, 2*len(a))
+		for _, r := range c.Batch(context.Background(), a) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			kept = append(kept, r.Report)
+		}
+		streamed := make([]*Report, len(a))
+		for i, r := range c.Stream(context.Background(), a) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			streamed[i] = r.Report
+		}
+		kept = append(kept, streamed...)
+		c.Batch(context.Background(), b)
+		for i, rep := range kept {
+			w := a[i%len(a)]
+			cold, err := core.Run(core.NewThreeCounters(), w, core.RunOptions{Schedule: schedule, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Stats.Bits != cold.Stats.Bits || rep.Stats.Messages != cold.Stats.Messages ||
+				!reflect.DeepEqual(rep.Stats.Links(), cold.Stats.Links()) {
+				t.Errorf("%s: report %d for %s changed after a later batch", schedule, i, w)
+			}
+		}
+		c.Close()
+	}
+}

@@ -8,10 +8,14 @@
 // processor contexts and the scheduler's queue backing arrays — and one
 // core.NodeReuse keeping the rings of its few most recent (recognizer,
 // length) pairs, so a worker's steady-state run allocates only what the
-// algorithm itself sends plus one snapshot of the results, even when it
-// alternates between the jobs of several callers. Every job pins its engine
-// (Job.Engine); batch results are bit-for-bit identical to serial
-// core.Run/core.Check calls under every built-in schedule, which
+// algorithm itself sends, even when it alternates between the jobs of
+// several callers. Results are lent, not copied: RunEach hands each one to
+// its deliver callback with stats that alias the worker's state until the
+// callback returns, and only the callers that keep results past it —
+// RunBatch/RunBatchContext, ringlang.Client.Batch/Stream — clone them.
+// ringserve reads the totals inside the callback and clones nothing. Every
+// job pins its engine (Job.Engine); batch results are bit-for-bit identical
+// to serial core.Run/core.Check calls under every built-in schedule, which
 // internal/exec's property tests enforce.
 //
 // Entry points: NewPool/Pool.RunBatchContext for a long-lived pool shared by

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -178,5 +179,50 @@ func TestRunBatchErrors(t *testing.T) {
 func TestRunBatchEmpty(t *testing.T) {
 	if got := RunBatch(nil, Options{}); len(got) != 0 {
 		t.Fatalf("RunBatch(nil) = %v", got)
+	}
+}
+
+// TestLentAndKeptResults pins the lending contract on a one-worker pool,
+// where every run reuses the same stats: a Result is exact inside its
+// deliver callback, and the Results RunBatchContext returns still equal a
+// cold core.Run's per-link stats after another batch of same-length words
+// has overwritten the worker's state.
+func TestLentAndKeptResults(t *testing.T) {
+	rec := core.NewThreeCounters()
+	a := []lang.Word{lang.WordFromString("000111222"), lang.WordFromString("012012012")}
+	b := []lang.Word{lang.WordFromString("001122012"), lang.WordFromString("222111000")}
+	pool := NewPool(1)
+	defer pool.Close()
+	for _, eng := range []ring.Engine{ring.NewSequentialEngine(), ring.NewRandomOrderEngine(5)} {
+		jobs := func(words []lang.Word) []Job {
+			out := make([]Job, len(words))
+			for i, w := range words {
+				out[i] = Job{Rec: rec, Word: w, Engine: eng}
+			}
+			return out
+		}
+		cold := make([]*ring.Stats, len(a))
+		for i, w := range a {
+			res, err := core.Run(rec, w, core.RunOptions{Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold[i] = res.Stats
+		}
+		pool.RunEach(context.Background(), jobs(a), func(i int, r Result) {
+			if r.Err != nil || !statsEqual(r.Stats, cold[i]) {
+				t.Errorf("%s: lent result %d differs from a cold run inside deliver (err %v)", eng.Name(), i, r.Err)
+			}
+		})
+		kept := pool.RunBatchContext(context.Background(), jobs(a))
+		pool.RunBatch(jobs(b))
+		for i, r := range kept {
+			if r.Err != nil {
+				t.Fatalf("%s: job %d: %v", eng.Name(), i, r.Err)
+			}
+			if !statsEqual(r.Stats, cold[i]) {
+				t.Errorf("%s: kept result %d changed after a later batch: %+v, cold %+v", eng.Name(), i, *r.Stats, *cold[i])
+			}
+		}
 	}
 }

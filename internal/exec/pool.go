@@ -45,8 +45,12 @@ type Job struct {
 	Prefix *core.PrefixCache
 }
 
-// Result is the outcome of one Job. Stats is an independent snapshot: it
-// never aliases worker state and stays valid after the pool moves on.
+// Result is the outcome of one Job. A Result handed to a RunEach deliver
+// callback is lent: its Stats aliases the worker's reusable run state and is
+// valid only until deliver returns, because the worker's next run resets it
+// — clone it (ring.Stats.Clone) to keep it. The Results RunBatch and
+// RunBatchContext return are independent snapshots that stay valid after the
+// pool moves on.
 type Result struct {
 	Verdict ring.Verdict
 	Stats   *ring.Stats
@@ -170,12 +174,15 @@ func (p *Pool) Close() {
 // RunEach executes every job and hands each Result to deliver as soon as its
 // worker finishes — completion order, not job order. deliver is called
 // concurrently from worker goroutines and must be safe for that; every job
-// is delivered exactly once. When ctx is canceled, in-flight runs abort
-// through the engines' own cancellation checks, and each job not yet run
-// fails without running, with an error wrapping ring.ErrCanceled, as soon
-// as a worker is free: core.Run checks the context before building
-// anything, and a call with no job running is served ahead of calls that
-// have one. RunEach returns only after every job has been delivered.
+// is delivered exactly once. Each Result is lent to deliver: its Stats stays
+// valid only until deliver returns (see Result), so a caller that only needs
+// the totals reads them there and copies nothing. When ctx is canceled,
+// in-flight runs abort through the engines' own cancellation checks, and
+// each job not yet run fails without running, with an error wrapping
+// ring.ErrCanceled, as soon as a worker is free: core.Run checks the context
+// before building anything, and a call with no job running is served ahead
+// of calls that have one. RunEach returns only after every job has been
+// delivered.
 func (p *Pool) RunEach(ctx context.Context, jobs []Job, deliver func(idx int, res Result)) {
 	if len(jobs) == 0 {
 		return
@@ -190,12 +197,18 @@ func (p *Pool) RunEach(ctx context.Context, jobs []Job, deliver func(idx int, re
 }
 
 // RunBatchContext executes every job and returns one Result per job, in job
-// order. Job errors (including cancellation) land in the corresponding
-// Result; the call itself never fails, so a canceled batch still reports
-// every word that completed before the cancel.
+// order, each with its own snapshot of the run's stats. Job errors
+// (including cancellation) land in the corresponding Result; the call itself
+// never fails, so a canceled batch still reports every word that completed
+// before the cancel.
 func (p *Pool) RunBatchContext(ctx context.Context, jobs []Job) []Result {
 	out := make([]Result, len(jobs))
-	p.RunEach(ctx, jobs, func(i int, r Result) { out[i] = r })
+	p.RunEach(ctx, jobs, func(i int, r Result) {
+		if r.Stats != nil {
+			r.Stats = r.Stats.Clone()
+		}
+		out[i] = r
+	})
 	return out
 }
 
@@ -261,7 +274,8 @@ func (w *worker) run(ctx context.Context, job Job) Result {
 	if err != nil {
 		return Result{Err: err}
 	}
-	// Snapshot: res.Stats aliases st and the next run on this worker resets
-	// it. The trace and fault report do not — both are freshly built per run.
-	return Result{Verdict: res.Verdict, Stats: res.Stats.Clone(), Faults: res.Faults, Trace: res.Trace}
+	// res.Stats aliases st, which the next run on this worker resets: the
+	// Result is lent to deliver, and only callers that keep it clone it. The
+	// trace and fault report are freshly built per run.
+	return Result{Verdict: res.Verdict, Stats: res.Stats, Faults: res.Faults, Trace: res.Trace}
 }

@@ -31,6 +31,14 @@
 // NewScheduledEngine; NewEngineByName resolves the built-in names (see
 // ScheduleNames) for flags and facade options.
 //
+// Under the global-FIFO and seeded random schedulers the loop hands a lone
+// send straight to its receiver: when a delivery's Receive returns exactly
+// one message for another processor and nothing else is queued, the next
+// delivery is forced, so the loop performs it without Push and Next. The
+// result is identical to the queue path (the random scheduler accounts the
+// draws the forced choices would have made); every other schedule, and any
+// scheduler wrapped or written outside this package, keeps the queue path.
+//
 // Runs are driven through Engine.Run (or RunWith on a caller-owned RunState:
 // stats, contexts and scheduler queues reused run to run — the batch pool's
 // steady-state path) under a Config carrying the message budget, trace

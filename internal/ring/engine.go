@@ -18,13 +18,20 @@ type Engine interface {
 // ErrAlreadyDecided is returned if the leader decides twice.
 var ErrAlreadyDecided = errors.New("ring: verdict already decided")
 
-// neighbour returns the processor index reached from `from` by travelling in
-// direction d on a ring of n processors.
+// neighbour returns the processor index reached from `from` (in [0, n)) by
+// travelling in direction d on a ring of n processors. It runs on every send,
+// so it wraps with a compare instead of an integer division.
 func neighbour(from int, d Direction, n int) int {
 	if d == Forward {
-		return (from + 1) % n
+		if from++; from == n {
+			return 0
+		}
+		return from
 	}
-	return (from - 1 + n) % n
+	if from == 0 {
+		return n - 1
+	}
+	return from - 1
 }
 
 // arrivalDirection is the direction the receiver perceives a message sent in

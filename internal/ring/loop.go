@@ -1,6 +1,10 @@
 package ring
 
-import "fmt"
+import (
+	"fmt"
+
+	"ringlang/internal/bits"
+)
 
 // loopState is the mutable per-run state of the shared event loop: verdict,
 // accounting, trace. It implements verdictSink, so processor contexts carry a
@@ -38,6 +42,19 @@ func (lp *loopState) decide(proc int, v Verdict) error {
 		lp.seq++
 	}
 	return nil
+}
+
+// traceSend records the send event of s from fromProc and returns the
+// payload the run goes on with: a clone, because the trace retains payloads
+// beyond the delivery, while a payload built on a Context scratch writer is
+// only valid until the sender's next message.
+//
+//ring:coldpath -- only runs with Config.RecordTrace call it; trace recording is opt-in and excluded from the alloc budget
+func (lp *loopState) traceSend(fromProc int, s Send) bits.String {
+	p := s.Payload.Clone()
+	lp.trace = append(lp.trace, Event{Seq: lp.seq, Kind: EventSend, Processor: fromProc, Dir: s.Dir, Payload: p})
+	lp.seq++
+	return p
 }
 
 // runLoop is the single event loop behind every scheduler-backed engine. It
@@ -108,17 +125,9 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 				return err
 			}
 			if cfg.RecordTrace {
-				// The trace retains payloads beyond the delivery, but a payload
-				// built on a Context scratch writer is only valid until the
-				// sender's next message — snapshot it.
-				s.Payload = s.Payload.Clone()
+				s.Payload = lp.traceSend(fromProc, s)
 			}
 			lp.stats.record(to, arrival, s.Payload)
-			if cfg.RecordTrace {
-				//ringvet:ignore hotpathalloc -- trace recording is opt-in and excluded from the alloc budget
-				lp.trace = append(lp.trace, Event{Seq: lp.seq, Kind: EventSend, Processor: fromProc, Dir: s.Dir, Payload: s.Payload})
-				lp.seq++
-			}
 			sched.Push(linkIndex(to, arrival), Delivery{To: to, From: arrival, Payload: s.Payload})
 		}
 		return nil
@@ -173,6 +182,19 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 		stopAt = capAfter[0]
 	}
 
+	// Hand-off: when a delivery's Receive returns exactly one send, the
+	// scheduler holds nothing else and the message goes to another
+	// processor, Push followed by Next would return that very message under
+	// a handoffScheduler. The loop keeps it in held instead and performs it
+	// on the next iteration, telling the scheduler about the forced choice it
+	// skipped. The payload stays a view of the sender's scratch writer, which
+	// nothing touches before the receiver returns; a message a processor
+	// sends to itself (n = 1) takes the queue path, whose copy keeps the
+	// payload apart from the writer the receiver is about to reuse.
+	ho, _ := sched.(handoffScheduler)
+	var held Delivery
+	holding := false
+
 	// Delivery loop. Cancellation is polled every ctxCheckInterval deliveries:
 	// a non-blocking receive on a prefetched Done channel, so runs with a
 	// context pay no allocation and runs without one pay a nil test.
@@ -184,9 +206,15 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 			default:
 			}
 		}
-		d, ok := sched.Next()
-		if !ok {
-			break
+		var d Delivery
+		if holding {
+			d, holding = held, false
+			ho.forced()
+		} else {
+			var ok bool
+			if d, ok = sched.Next(); !ok {
+				break
+			}
 		}
 		if delivered >= cfg.MaxMessages {
 			return nil, fmt.Errorf("%w: %d messages", ErrMessageBudgetExceeded, delivered)
@@ -208,12 +236,33 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 			// model terminates the execution at that point.
 			break
 		}
-		if err := dispatch(d.To, sends); err != nil {
+		if len(sends) == 1 && ho != nil && ho.idle() {
+			s := sends[0]
+			to, arrival, err := routeSend(cfg, d.To, s, n)
+			if err != nil {
+				return nil, err
+			}
+			if cfg.RecordTrace {
+				s.Payload = lp.traceSend(d.To, s)
+			}
+			lp.stats.record(to, arrival, s.Payload)
+			if to != d.To {
+				held, holding = Delivery{To: to, From: arrival, Payload: s.Payload}, true
+			} else {
+				sched.Push(linkIndex(to, arrival), Delivery{To: to, From: arrival, Payload: s.Payload})
+			}
+		} else if err := dispatch(d.To, sends); err != nil {
 			return nil, err
 		}
 		if delivered == stopAt {
 			// The delivery and its dispatches are complete and no verdict
-			// fired: freeze the undecided state between deliveries.
+			// fired: freeze the undecided state between deliveries. A held
+			// message goes back into the idle queue first, where the capture
+			// sees it and from which the run goes on exactly as before.
+			if holding {
+				sched.Push(linkIndex(held.To, held.From), held)
+				holding = false
+			}
 			cp, err := captureCheckpoint(ck, lp, nodes, delivered)
 			if err != nil {
 				return nil, err

@@ -419,6 +419,28 @@ func TestDirectionHelpers(t *testing.T) {
 	}
 }
 
+// TestNeighbourMatchesModuloDefinition checks the compare-and-wrap neighbour
+// against its modulo definition for every processor of small rings, in both
+// directions, including the one- and two-processor rings where both
+// neighbours coincide.
+func TestNeighbourMatchesModuloDefinition(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8} {
+		for from := 0; from < n; from++ {
+			for _, tc := range []struct {
+				d    Direction
+				want int
+			}{
+				{Forward, (from + 1) % n},
+				{Backward, (from - 1 + n) % n},
+			} {
+				if got := neighbour(from, tc.d, n); got != tc.want {
+					t.Errorf("n=%d: neighbour(%d, %v) = %d, want %d", n, from, tc.d, got, tc.want)
+				}
+			}
+		}
+	}
+}
+
 func TestSingleProcessorRing(t *testing.T) {
 	// A ring of size 1: the leader's forward neighbour is itself.
 	for _, eng := range engines() {

@@ -58,11 +58,41 @@ func (s *fifoScheduler) Next() (Delivery, bool) {
 	return s.q.pop(), true
 }
 
+// handoffScheduler is implemented by the schedulers whose next choice is
+// forced whenever they hold no message: pushing one message into an idle
+// queue and asking for the next delivery must return that very message. The
+// event loop relies on it to hand a lone send straight to its receiver
+// without the Push/Next round trip (see runLoopFrom). Only the global-FIFO
+// and seeded random schedules implement it; every other scheduler — and any
+// type wrapping one, since the methods are unexported — keeps the queue path,
+// because the loop cannot see what its Next does with a lone message.
+type handoffScheduler interface {
+	Scheduler
+	// idle reports whether the scheduler holds no pending message.
+	idle() bool
+	// forced accounts one delivery the loop performed without Next, as if
+	// Next had chosen it from a single pending message.
+	forced()
+}
+
+func (s *fifoScheduler) idle() bool { return s.q.len() == 0 }
+func (s *fifoScheduler) forced()    {}
+
 // randomScheduler delivers the head of a uniformly random non-empty link,
 // driven by a seeded generator so runs are reproducible.
+//
+// A choice among one non-empty link is forced, yet the seed schedule drew
+// Intn(1) for it, which consumes one value of the source. To stay
+// draw-for-draw identical without paying for those draws, the scheduler only
+// counts them (owed) and replays them just before its next real choice; the
+// generator is allocated once per scheduler and re-seeded at the first real
+// choice of each run, so a run that never chooses — every single-token
+// recognizer — never touches it.
 type randomScheduler struct {
 	seed     int64
 	rng      *rand.Rand
+	seeded   bool // rng has been re-seeded for the current run
+	owed     int  // forced draws not yet replayed on rng
 	links    linkQueues
 	nonEmpty []int
 }
@@ -74,10 +104,14 @@ func NewRandomScheduler(seed int64) Scheduler { return &randomScheduler{seed: se
 func (s *randomScheduler) Name() string { return fmt.Sprintf("random(seed=%d)", s.seed) }
 
 func (s *randomScheduler) Reset(links int) {
-	s.rng = rand.New(rand.NewSource(s.seed))
+	s.seeded = false
+	s.owed = 0
 	s.links.reset(links)
 	s.nonEmpty = s.nonEmpty[:0]
 }
+
+func (s *randomScheduler) idle() bool { return len(s.nonEmpty) == 0 }
+func (s *randomScheduler) forced()    { s.owed++ }
 
 // Push enqueues d and tracks the link on the non-empty list.
 //
@@ -93,12 +127,23 @@ func (s *randomScheduler) Push(link int, d Delivery) {
 // is seeded per run, so the schedule is reproducible.
 //
 //ring:deterministic
-//ring:hotpath guard=TestLoopAllocatesLessThanSeedLoop
+//ring:hotpath guard=TestLoopAllocatesLessThanSeedLoop,TestEngineLoopAllocRegressionGuard
 func (s *randomScheduler) Next() (Delivery, bool) {
 	if len(s.nonEmpty) == 0 {
 		return Delivery{}, false
 	}
-	i := s.rng.Intn(len(s.nonEmpty))
+	i := 0
+	if len(s.nonEmpty) == 1 {
+		s.owed++
+	} else {
+		if !s.seeded {
+			s.reseed()
+		}
+		for ; s.owed > 0; s.owed-- {
+			s.rng.Int63() // the value Intn(1) would have drawn
+		}
+		i = s.rng.Intn(len(s.nonEmpty))
+	}
 	link := s.nonEmpty[i]
 	d := s.links.pop(link)
 	if s.links.empty(link) {
@@ -106,6 +151,18 @@ func (s *randomScheduler) Next() (Delivery, bool) {
 		s.nonEmpty = s.nonEmpty[:len(s.nonEmpty)-1]
 	}
 	return d, true
+}
+
+// reseed restarts the generator from the seed for the current run.
+//
+//ring:coldpath -- once per run, at its first real choice; the generator itself is allocated once per scheduler
+func (s *randomScheduler) reseed() {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	} else {
+		s.rng.Seed(s.seed)
+	}
+	s.seeded = true
 }
 
 // roundRobinScheduler cycles over the directed links in a fixed rotation,

@@ -45,13 +45,24 @@ type reportPayload struct {
 	Cached           bool    `json:"cached"`
 }
 
-// payload renders one successful run of rn as the payload the memo cache
-// stores: everything but the word and the cached flag, which served fills in
-// per response. It keeps nothing of the run's stats, so an entry costs its
-// key plus a fixed-size value, whatever the ring size.
-func (rn *runner) payload(word lang.Word, res exec.Result) reportPayload {
+// ranWord is one engine run as a handler keeps it: the payload the memo
+// cache stores, or the run's error.
+type ranWord struct {
+	payload reportPayload
+	err     error
+}
+
+// ran renders one run of rn on word. It is called from the pool's deliver
+// callback, while res.Stats is lent, and copies out only the totals: the
+// payload is everything but the word and the cached flag, which served fills
+// in per response, so a memo entry costs its key plus a fixed-size value,
+// whatever the ring size.
+func (rn *runner) ran(word lang.Word, res exec.Result) ranWord {
+	if res.Err != nil {
+		return ranWord{err: res.Err}
+	}
 	st := res.Stats
-	return reportPayload{
+	return ranWord{payload: reportPayload{
 		Algorithm:        rn.rec.Name(),
 		Language:         rn.rec.Language().Name(),
 		Verdict:          res.Verdict.String(),
@@ -62,7 +73,7 @@ func (rn *runner) payload(word lang.Word, res exec.Result) reportPayload {
 		MaxMessageBits:   st.MaxMessageBits,
 		Processors:       st.Processors,
 		Schedule:         rn.schedule,
-	}
+	}}
 }
 
 // served is the response form of a payload for one request's word.
@@ -258,11 +269,11 @@ func (s *Server) recognizeWord(ctx context.Context, rn *runner, k runKey, word s
 		}
 		defer release()
 		w := lang.WordFromString(word)
-		res := s.pool.RunBatchContext(ctx, []exec.Job{s.job(rn, w)})[0]
-		if res.Err != nil {
-			return reportPayload{}, res.Err
-		}
-		return rn.payload(w, res), nil
+		var out ranWord
+		s.pool.RunEach(ctx, []exec.Job{s.job(rn, w)}, func(_ int, res exec.Result) {
+			out = rn.ran(w, res)
+		})
+		return out.payload, out.err
 	}
 	if s.cache == nil {
 		payload, err := run()
@@ -304,16 +315,15 @@ func duplicateResult(primary wordResult, index int) wordResult {
 
 // finish converts the outcome of miss j into its wire form, storing a
 // successful payload in the cache.
-func (s *Server) finish(p *runPrep, j int, res exec.Result, word string) wordResult {
+func (s *Server) finish(p *runPrep, j int, out ranWord, word string) wordResult {
 	i := p.missIdx[j]
-	if res.Err != nil {
-		return wordResult{Index: i, Error: res.Err.Error(), Code: errorCode(res.Err)}
+	if out.err != nil {
+		return wordResult{Index: i, Error: out.err.Error(), Code: errorCode(out.err)}
 	}
-	payload := p.rn.payload(p.jobs[j].Word, res)
 	if s.cache != nil {
-		s.cache.Put(p.key.memoKey(word), payload)
+		s.cache.Put(p.key.memoKey(word), out.payload)
 	}
-	return wordResult{Index: i, Report: payload.served(word, false)}
+	return wordResult{Index: i, Report: out.payload.served(word, false)}
 }
 
 // prepareWords is the shared preamble of batch and stream: validate the word
@@ -403,10 +413,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		results[res.Index] = res
 	}
 	if len(p.jobs) > 0 {
-		ran := s.pool.RunBatchContext(r.Context(), p.jobs)
+		ran := make([]ranWord, len(p.jobs))
+		s.pool.RunEach(r.Context(), p.jobs, func(j int, res exec.Result) {
+			ran[j] = p.rn.ran(p.jobs[j].Word, res)
+		})
 		p.release()
-		for j, res := range ran {
-			primary := s.finish(p, j, res, req.Words[p.missIdx[j]])
+		for j, out := range ran {
+			primary := s.finish(p, j, out, req.Words[p.missIdx[j]])
 			results[primary.Index] = primary
 			for _, i := range p.dups[j] {
 				results[i] = duplicateResult(primary, i)
@@ -496,18 +509,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// shared worker, and the admission is released once the pool is done.
 		type ran struct {
 			j   int
-			res exec.Result
+			out ranWord
 		}
 		results := make(chan ran, len(p.jobs))
 		go func() {
 			defer close(results)
 			defer p.release()
 			s.pool.RunEach(r.Context(), p.jobs, func(j int, res exec.Result) {
-				results <- ran{j, res}
+				results <- ran{j, p.rn.ran(p.jobs[j].Word, res)}
 			})
 		}()
 		for d := range results {
-			primary := s.finish(p, d.j, d.res, req.Words[p.missIdx[d.j]])
+			primary := s.finish(p, d.j, d.out, req.Words[p.missIdx[d.j]])
 			emit(primary)
 			for _, i := range p.dups[d.j] {
 				emit(duplicateResult(primary, i))
