@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"ringlang/internal/ring"
 )
 
 // TestRecognizeBatchMatchesRecognize pins the facade-level batch contract:
@@ -19,8 +21,19 @@ func TestRecognizeBatchMatchesRecognize(t *testing.T) {
 		WordFromString("012"),
 		WordFromString("001122001122"),
 	}
-	for _, schedule := range []string{"", "round-robin", "random", "concurrent"} {
-		serial, err := NewClient("three-counters", "", WithSchedule(schedule), WithSeed(9))
+	for _, sched := range []struct {
+		name string
+		opt  Option
+	}{
+		{"sequential", WithSchedule("")},
+		{"round-robin", WithSchedule("round-robin")},
+		{"random", WithSchedule("random")},
+		// Two forced workers: the processors of these small rings still race
+		// on real goroutines.
+		{"sharded", WithEngine(ring.NewShardedEngineWorkers(2))},
+	} {
+		schedule := sched.name
+		serial, err := NewClient("three-counters", "", sched.opt, WithSeed(9))
 		if err != nil {
 			t.Fatalf("schedule %q: %v", schedule, err)
 		}
@@ -32,7 +45,7 @@ func TestRecognizeBatchMatchesRecognize(t *testing.T) {
 		}
 		serial.Close()
 		for _, workers := range []int{0, 1, 3} {
-			client, err := NewClient("three-counters", "", WithSchedule(schedule), WithSeed(9), WithWorkers(workers))
+			client, err := NewClient("three-counters", "", sched.opt, WithSeed(9), WithWorkers(workers))
 			if err != nil {
 				t.Fatalf("schedule %q workers=%d: %v", schedule, workers, err)
 			}

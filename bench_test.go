@@ -1,7 +1,7 @@
 package ringlang_test
 
 // One testing.B benchmark per core experiment (E1–E10) plus the design
-// ablations (A1–A3) and engine micro-benchmarks. Each benchmark runs a
+// ablations (A1–A2) and engine micro-benchmarks. Each benchmark runs a
 // reduced but representative sweep per iteration and reports the normalized
 // quantity the corresponding paper claim is about (bits/n, bits/(n·log n),
 // bits/n², overhead factors) as a custom metric, so `go test -bench=.`
@@ -274,31 +274,6 @@ func BenchmarkA2Minimization(b *testing.B) {
 		if _, err := bench.ExperimentA2([]int{64, 256}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkA3EngineOverhead — ablation: sequential vs concurrent engine
-// runtime cost for the same algorithm and input.
-func BenchmarkA3EngineOverhead(b *testing.B) {
-	word, _ := lang.NewAnBnCn().GenerateMember(300, rand.New(rand.NewSource(1)))
-	engines := []struct {
-		name   string
-		engine ring.Engine
-	}{
-		{"sequential", ring.NewSequentialEngine()},
-		{"concurrent", ring.NewConcurrentEngine()},
-	}
-	for _, e := range engines {
-		e := e
-		b.Run(e.name, func(b *testing.B) {
-			rec := core.NewThreeCounters()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(rec, word, core.RunOptions{Engine: e.engine}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

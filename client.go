@@ -70,8 +70,8 @@ type Option func(*Client)
 
 // WithSchedule selects the delivery schedule by name — one of
 // ScheduleNames(): "sequential", "random", "round-robin", "adversarial",
-// "concurrent", "sharded", plus the fault axis "lossy", "duplicating",
-// "crash-restart", "crash-repair". The default is sequential. The paper's
+// "sharded", plus the fault axis "lossy", "duplicating", "crash-restart",
+// "crash-repair". The default is sequential. The paper's
 // bounds hold under every exactly-once schedule; sweeping this knob is how
 // that is checked. Fault schedules whose delivery guarantee is weaker than
 // exactly-once (see ring.ScheduleDeliveryGuarantee) refuse to run a raw
@@ -206,7 +206,7 @@ func NewClientWith(rec Recognizer, opts ...Option) (*Client, error) {
 	} else {
 		// The pinned engine is authoritative; adopting its name (rather than
 		// keeping an unvalidated WithSchedule string) keeps Report.Schedule
-		// and UsedConcurrentRun truthful.
+		// truthful.
 		c.schedule = c.engine.Name()
 	}
 	if c.schedule == "" {
@@ -410,17 +410,16 @@ func (c *Client) result(word Word, r exec.Result) Result {
 // newReport assembles a Report from one execution's verdict and accounting.
 func (c *Client) newReport(word Word, verdict Verdict, stats *Stats) *Report {
 	return &Report{
-		Algorithm:         c.rec.Name(),
-		LanguageName:      c.rec.Language().Name(),
-		Verdict:           verdict,
-		Member:            c.rec.Language().Contains(word),
-		Messages:          stats.Messages,
-		Bits:              stats.Bits,
-		BitsPerProcessor:  stats.BitsPerProcessor(),
-		MaxMessageBits:    stats.MaxMessageBits,
-		ProcessorCount:    stats.Processors,
-		Schedule:          c.schedule,
-		UsedConcurrentRun: c.schedule == "concurrent",
-		Stats:             stats,
+		Algorithm:        c.rec.Name(),
+		LanguageName:     c.rec.Language().Name(),
+		Verdict:          verdict,
+		Member:           c.rec.Language().Contains(word),
+		Messages:         stats.Messages,
+		Bits:             stats.Bits,
+		BitsPerProcessor: stats.BitsPerProcessor(),
+		MaxMessageBits:   stats.MaxMessageBits,
+		ProcessorCount:   stats.Processors,
+		Schedule:         c.schedule,
+		Stats:            stats,
 	}
 }

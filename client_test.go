@@ -441,23 +441,23 @@ func TestClientCloseConcurrentWithBatch(t *testing.T) {
 }
 
 // TestWithEngineLabel pins that a pinned engine is authoritative: its name
-// becomes the schedule label (any WithSchedule string is ignored, not left
-// unvalidated) and UsedConcurrentRun tracks the engine actually used.
+// becomes the schedule label of the client and of every report (any
+// WithSchedule string is ignored, not left unvalidated).
 func TestWithEngineLabel(t *testing.T) {
 	client, err := NewClientWith(core.NewThreeCounters(),
-		WithSchedule("sequential"), WithEngine(ring.NewConcurrentEngine()))
+		WithSchedule("sequential"), WithEngine(ring.NewShardedEngineWorkers(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if client.ScheduleName() != "concurrent" {
+	if client.ScheduleName() != "sharded" {
 		t.Errorf("ScheduleName = %q, want the pinned engine's name", client.ScheduleName())
 	}
 	report, err := client.Recognize(context.Background(), WordFromString("001122"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Schedule != "concurrent" || !report.UsedConcurrentRun {
-		t.Errorf("report schedule/concurrent flag = %q/%v", report.Schedule, report.UsedConcurrentRun)
+	if report.Schedule != "sharded" {
+		t.Errorf("report schedule = %q, want sharded", report.Schedule)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Command ringbench regenerates the experiment tables (E1–E17, A1–A3).
+// Command ringbench regenerates the experiment tables (E1–E13, E15–E17, A1–A2).
 //
 // Usage:
 //

@@ -5,7 +5,7 @@
 //
 //	ringrun -algorithm three-counters -word 001122
 //	ringrun -algorithm regular-one-pass -language even-ones -word 0110
-//	ringrun -algorithm compare-wcw -word abcab -engine concurrent -trace
+//	ringrun -algorithm compare-wcw -word abcab -schedule random -seed 3 -trace
 //	ringrun -algorithm three-counters -word 001122 -schedule adversarial
 //	ringrun -algorithm three-counters -word 001122 -schedule random -seed 7
 //	ringrun -algorithm three-counters -words 001122,012012,001212 -workers 0
@@ -54,17 +54,16 @@ func main() {
 func run(ctx context.Context, args []string, out *os.File) error {
 	fs := flag.NewFlagSet("ringrun", flag.ContinueOnError)
 	var (
-		algorithm  = fs.String("algorithm", "", "algorithm name (see -list)")
-		language   = fs.String("language", "", "language argument for algorithms that need one")
-		word       = fs.String("word", "", "the pattern on the ring (one letter per processor, leader first)")
-		engineName = fs.String("engine", "sequential", "delivery schedule / engine (see -list)")
-		schedule   = fs.String("schedule", "", "synonym for -engine; takes precedence when both are set")
-		seed       = fs.Int64("seed", 0, "seed for seeded schedules (random and the fault schedules)")
-		withTrace  = fs.Bool("trace", false, "print per-execution analysis (passes, token property, information states)")
-		list       = fs.Bool("list", false, "list algorithm, language and schedule names and exit")
-		words      = fs.String("words", "", "comma-separated words to run as a parallel batch (instead of -word)")
-		workers    = fs.Int("workers", 0, "worker goroutines for -words batches (0 = one per CPU)")
-		prefix     = fs.Int64("prefix-cache", 0, "prefix-checkpoint cache budget in bytes (0 = off); batch words sharing prefixes resume from stored engine checkpoints")
+		algorithm = fs.String("algorithm", "", "algorithm name (see -list)")
+		language  = fs.String("language", "", "language argument for algorithms that need one")
+		word      = fs.String("word", "", "the pattern on the ring (one letter per processor, leader first)")
+		schedule  = fs.String("schedule", "sequential", "delivery schedule (see -list)")
+		seed      = fs.Int64("seed", 0, "seed for seeded schedules (random and the fault schedules)")
+		withTrace = fs.Bool("trace", false, "print per-execution analysis (passes, token property, information states)")
+		list      = fs.Bool("list", false, "list algorithm, language and schedule names and exit")
+		words     = fs.String("words", "", "comma-separated words to run as a parallel batch (instead of -word)")
+		workers   = fs.Int("workers", 0, "worker goroutines for -words batches (0 = one per CPU)")
+		prefix    = fs.Int64("prefix-cache", 0, "prefix-checkpoint cache budget in bytes (0 = off); batch words sharing prefixes resume from stored engine checkpoints")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -90,15 +89,11 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	if *word != "" && *words != "" {
 		return fmt.Errorf("-word and -words are mutually exclusive")
 	}
-	name := *engineName
-	if *schedule != "" {
-		name = *schedule
-	}
-	if *seed != 0 && !ringlang.ScheduleUsesSeed(name) {
-		return fmt.Errorf("-seed only takes effect with a seeded schedule (random or a fault schedule; got %q)", name)
+	if *seed != 0 && !ringlang.ScheduleUsesSeed(*schedule) {
+		return fmt.Errorf("-seed only takes effect with a seeded schedule (random or a fault schedule; got %q)", *schedule)
 	}
 	client, err := ringlang.NewClient(*algorithm, *language,
-		ringlang.WithSchedule(name),
+		ringlang.WithSchedule(*schedule),
 		ringlang.WithSeed(*seed),
 		ringlang.WithWorkers(*workers),
 		ringlang.WithTrace(*withTrace),

@@ -61,7 +61,7 @@ func TestIntegrationTMPipelineAcrossEngines(t *testing.T) {
 	}
 	engines := []ring.Engine{
 		ring.NewSequentialEngine(),
-		ring.NewConcurrentEngine(),
+		ring.NewShardedEngineWorkers(2),
 		ring.NewRandomOrderEngine(13),
 	}
 	words := []string{"0011", "000111", "0101", "0001110"}
@@ -127,7 +127,7 @@ func TestIntegrationLineSimulationPreservesLanguage(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for _, n := range []int{4, 9, 16, 24, 25, 49, 50} {
 		word := lang.RandomWord(inner.Language().Alphabet(), n, rng)
-		for _, engine := range []ring.Engine{ring.NewSequentialEngine(), ring.NewConcurrentEngine()} {
+		for _, engine := range []ring.Engine{ring.NewSequentialEngine(), ring.NewShardedEngineWorkers(3)} {
 			direct, err := core.Run(inner, word, core.RunOptions{Engine: engine})
 			if err != nil {
 				t.Fatal(err)

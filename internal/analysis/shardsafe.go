@@ -9,7 +9,7 @@ import (
 )
 
 // ShardSafe checks the two access disciplines the sharded engine's
-// correctness rests on (internal/ring/sharded.go, concurrent.go):
+// correctness rests on (internal/ring/sharded.go):
 //
 //  1. Atomic discipline: a struct field that is accessed through sync/atomic
 //     anywhere in the package (atomic.LoadInt64(&x.f), atomic.AddInt32, ...)

@@ -5,7 +5,6 @@ import (
 
 	"ringlang/internal/core"
 	"ringlang/internal/lang"
-	"ringlang/internal/ring"
 )
 
 // ExperimentA1 is the counter-encoding ablation behind the O(n log n) totals:
@@ -65,37 +64,6 @@ func ExperimentA2(sizes []int) (*Table, error) {
 		}
 		for _, p := range points {
 			t.AddRow(v.name, fmtInt(v.q), fmtInt(p.N), fmtInt(p.Bits), perN(p.Bits, p.N))
-		}
-	}
-	return t, nil
-}
-
-// ExperimentA3 is the engine ablation: the deterministic sequential engine
-// and the goroutine-per-processor concurrent engine must account exactly the
-// same bits for the deterministic recognizers.
-func ExperimentA3(sizes []int) (*Table, error) {
-	t := &Table{
-		ID:         "A3",
-		Title:      "Ablation: sequential vs concurrent engine accounting",
-		PaperClaim: "bit complexity is a property of the algorithm, not of the schedule: both engines must agree",
-		Columns:    []string{"algorithm", "n", "sequential bits", "concurrent bits", "agree"},
-	}
-	recs := []core.Recognizer{core.NewThreeCounters(), core.NewCompareWcW()}
-	for _, rec := range recs {
-		for _, n := range sizes {
-			seqPts, err := MeasureRecognizer(rec, []int{n}, MeasureOptions{})
-			if err != nil {
-				return nil, err
-			}
-			concPts, err := MeasureRecognizer(rec, []int{n}, MeasureOptions{Engine: ring.NewConcurrentEngine()})
-			if err != nil {
-				return nil, err
-			}
-			agree := "yes"
-			if seqPts[0].Bits != concPts[0].Bits {
-				agree = "NO"
-			}
-			t.AddRow(rec.Name(), fmtInt(seqPts[0].N), fmtInt(seqPts[0].Bits), fmtInt(concPts[0].Bits), agree)
 		}
 	}
 	return t, nil

@@ -82,7 +82,7 @@ func TestMeasureOneReturnsWordAndTrace(t *testing.T) {
 
 func TestRegistryCoversAllExperiments(t *testing.T) {
 	ids := IDs()
-	want := []string{"E1", "E2", "E2b", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "A1", "A2", "A3"}
+	want := []string{"E1", "E2", "E2b", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E15", "E16", "E17", "A1", "A2"}
 	if len(ids) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(ids), len(want))
 	}

@@ -1,12 +1,11 @@
 // Package bench is the experiment harness: it generates workloads, sweeps
 // ring sizes and parameters, runs the core recognizers on the ring engines,
 // and renders one table per experiment — E1–E13 for the paper's claims and
-// the extensions, E14 for the serving tier's cache behaviour, E15 for the
-// large-ring engine's time/alloc trajectory, E16 for the prefix-checkpoint
-// warm-vs-cold reuse sweep, plus the design ablations A1–A3
-// (see DESIGN.md). The cmd/ringbench tool and the
-// repository-root benchmarks are thin wrappers around this package, so every
-// table can be regenerated from one place.
+// the extensions, E15 for the large-ring engine's time/alloc trajectory, E16
+// for the prefix-checkpoint warm-vs-cold reuse sweep, E17 for the fault
+// axis, plus the design ablations A1–A2 (see DESIGN.md). The cmd/ringbench
+// tool and the repository-root benchmarks are thin wrappers around this
+// package, so every table can be regenerated from one place.
 //
 // Entry points: Experiments/ByID/RunAll enumerate and run the registry;
 // MeasureRecognizer and MeasureOne sweep one recognizer under MeasureOptions

@@ -81,8 +81,6 @@ func Experiments() []Experiment {
 			Run: func(s Suite) (*Table, error) { return ExperimentE12(scale(HierarchySizes, s)) }},
 		{ID: "E13", Description: "schedule axis: algorithms × sizes × delivery schedules agree on bits",
 			Run: func(s Suite) (*Table, error) { return ExperimentE13(scale([]int{33, 99, 201}, s)) }},
-		{ID: "E14", Description: "serving tier: memo cache hit ratio on repeated-word traffic (ringserve)",
-			Run: func(s Suite) (*Table, error) { return ExperimentE14(scale([]int{48, 96, 192, 384}, s)) }},
 		{ID: "E15", Description: "large-ring engine: serial vs sharded time/alloc trajectory (count, n to 2^20)",
 			Run: func(s Suite) (*Table, error) {
 				sizes := ScaleSizes
@@ -117,8 +115,6 @@ func Experiments() []Experiment {
 			Run: func(s Suite) (*Table, error) { return ExperimentA1(scale(HierarchySizes, s)) }},
 		{ID: "A2", Description: "ablation: DFA minimization",
 			Run: func(s Suite) (*Table, error) { return ExperimentA2(scale(HierarchySizes, s)) }},
-		{ID: "A3", Description: "ablation: engine accounting equivalence",
-			Run: func(s Suite) (*Table, error) { return ExperimentA3(scale([]int{33, 99, 255}, s)) }},
 	}
 }
 

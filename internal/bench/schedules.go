@@ -38,7 +38,6 @@ func ScheduleDimension() []ScheduleVariant {
 		{Schedule: "random", Seed: 2},
 		{Schedule: "round-robin"},
 		{Schedule: "adversarial"},
-		{Schedule: "concurrent"},
 		{Schedule: "lossy", Seed: 1},
 		{Schedule: "crash-restart", Seed: 1},
 	}

@@ -9,7 +9,7 @@ import (
 
 // Table is one rendered experiment result.
 type Table struct {
-	// ID is the experiment identifier (E1..E10, A1..A3).
+	// ID is the experiment identifier (E1..E17, A1..A2).
 	ID string
 	// Title is a one-line description.
 	Title string

@@ -94,10 +94,11 @@ func TestLineSimulationTooSmallRing(t *testing.T) {
 	}
 }
 
-func TestRecognizersOnConcurrentEngine(t *testing.T) {
+func TestRecognizersOnShardedWorkers(t *testing.T) {
 	// Every recognizer must produce the same verdict and the same bit count
-	// on the concurrent engine as on the sequential one (their executions are
-	// message-driven and deterministic).
+	// with its processors racing on three sharded workers as on the
+	// sequential engine (their executions are message-driven and
+	// deterministic).
 	rng := rand.New(rand.NewSource(11))
 	recs := []Recognizer{
 		NewThreeCounters(),
@@ -120,13 +121,13 @@ func TestRecognizersOnConcurrentEngine(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s sequential: %v", rec.Name(), err)
 			}
-			conc, err := Run(rec, w, RunOptions{Engine: ring.NewConcurrentEngine()})
+			sh, err := Run(rec, w, RunOptions{Engine: ring.NewShardedEngineWorkers(3)})
 			if err != nil {
-				t.Fatalf("%s concurrent: %v", rec.Name(), err)
+				t.Fatalf("%s sharded: %v", rec.Name(), err)
 			}
-			if seq.Verdict != conc.Verdict || seq.Stats.Bits != conc.Stats.Bits {
+			if seq.Verdict != sh.Verdict || seq.Stats.Bits != sh.Stats.Bits {
 				t.Errorf("%s n=%d: engines disagree (verdict %v/%v, bits %d/%d)",
-					rec.Name(), len(w), seq.Verdict, conc.Verdict, seq.Stats.Bits, conc.Stats.Bits)
+					rec.Name(), len(w), seq.Verdict, sh.Verdict, seq.Stats.Bits, sh.Stats.Bits)
 			}
 		}
 	}

@@ -2,9 +2,10 @@ package core
 
 // Cross-cutting property tests: every recognizer must agree with its
 // language's membership predicate on random words, and its verdict and bit
-// accounting must be identical under every engine (FIFO, concurrent,
-// adversarial random delivery order). These are the schedule-independence and
-// correctness invariants the paper's model takes for granted.
+// accounting must be identical under every engine (FIFO, sharded workers
+// racing on real goroutines, adversarial random delivery order). These are
+// the schedule-independence and correctness invariants the paper's model
+// takes for granted.
 
 import (
 	"math/rand"
@@ -70,7 +71,7 @@ func TestPropertyScheduleIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	engines := []ring.Engine{
 		ring.NewSequentialEngine(),
-		ring.NewConcurrentEngine(),
+		ring.NewShardedEngineWorkers(2),
 		ring.NewRandomOrderEngine(1),
 		ring.NewRandomOrderEngine(99),
 	}

@@ -35,17 +35,21 @@ type RunOptions struct {
 	Engine ring.Engine
 	// Schedule names a built-in delivery schedule — one of
 	// ring.ScheduleNames: "sequential", "random", "round-robin",
-	// "adversarial", "concurrent", "sharded". Ignored when Engine is non-nil.
+	// "adversarial", "sharded", and the fault schedules "lossy",
+	// "duplicating", "crash-restart", "crash-repair". Ignored when Engine is
+	// non-nil.
 	Schedule string
-	// Seed drives randomized schedules (Schedule == "random").
+	// Seed drives the seeded schedules: "random" and every fault schedule
+	// (see ring.ScheduleUsesSeed). The other schedules ignore it.
 	Seed int64
 	// RecordTrace enables trace recording for information-state analyses.
 	RecordTrace bool
 	// State, when non-nil, lets engines that support it (ring.StatefulEngine)
 	// reuse the per-run allocations — stats, contexts, scheduler queues —
 	// across runs. The returned Result then aliases State and is valid only
-	// until State's next run; snapshot Stats with Clone to retain it. Engines
-	// without state support (the concurrent engine) ignore it.
+	// until State's next run; snapshot Stats with Clone to retain it. Every
+	// built-in engine supports it; a custom engine without state support
+	// ignores it.
 	State *ring.RunState
 	// Presize, when positive, pre-reserves State's backing arrays for a ring
 	// of that many processors before the run starts, so a large-ring run

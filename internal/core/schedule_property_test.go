@@ -3,11 +3,11 @@ package core
 // The schedule-independence property, stated over the full schedule axis: for
 // every paper algorithm, the verdict AND the exact bit/message totals must be
 // identical under FIFO, five random-order seeds, round-robin, the
-// bounded-delay adversary and the concurrent engine — on a member word and on
-// a non-member word. No algorithm in this repository is legitimately
-// schedule-sensitive: recognition is leader-initiated with a single token (or
-// a fixed pass structure) in flight, so every legal delivery order serializes
-// to the same computation. An algorithm that fails here is relying on global
+// bounded-delay adversary and the sharded engine at forced worker counts — on
+// a member word and on a non-member word. No algorithm in this repository is
+// legitimately schedule-sensitive: recognition is leader-initiated with a
+// single token (or a fixed pass structure) in flight, so every legal delivery
+// order serializes to the same computation. An algorithm that fails here is relying on global
 // FIFO delivery, which the asynchronous model does not grant.
 
 import (
@@ -28,7 +28,6 @@ func scheduleAxis(t *testing.T) []ring.Engine {
 		ring.NewRoundRobinEngine(),
 		ring.NewAdversarialEngine(ring.DefaultAdversarialBound),
 		ring.NewAdversarialEngine(2),
-		ring.NewConcurrentEngine(),
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		engines = append(engines, ring.NewRandomOrderEngine(seed))

@@ -105,16 +105,18 @@ func TestDKRBeatsChangRobertsWorstCase(t *testing.T) {
 	}
 }
 
-func TestElectionOnConcurrentEngine(t *testing.T) {
+// TestElectionOnShardedWorkers runs the unidirectional protocols with their
+// processors racing on three sharded workers.
+func TestElectionOnShardedWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ids := RandomIDs(40, rng)
 	for _, p := range []Protocol{ChangRoberts, DolevKlaweRodeh} {
-		out, err := Run(p, ids, ring.NewConcurrentEngine())
+		out, err := Run(p, ids, ring.NewShardedEngineWorkers(3))
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
 		if p == ChangRoberts && out.WinnerIndex != maxIndex(ids) {
-			t.Errorf("concurrent Chang-Roberts elected %d, want %d", out.WinnerIndex, maxIndex(ids))
+			t.Errorf("sharded Chang-Roberts elected %d, want %d", out.WinnerIndex, maxIndex(ids))
 		}
 	}
 }

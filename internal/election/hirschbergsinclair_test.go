@@ -51,10 +51,12 @@ func TestHirschbergSinclairWorstCaseArrangements(t *testing.T) {
 	}
 }
 
+// TestHirschbergSinclairOnConcurrentAndRandomEngines elects with the
+// processors racing on two sharded workers and under a seeded random order.
 func TestHirschbergSinclairOnConcurrentAndRandomEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	ids := RandomIDs(32, rng)
-	engines := []ring.Engine{ring.NewConcurrentEngine(), ring.NewRandomOrderEngine(7)}
+	engines := []ring.Engine{ring.NewShardedEngineWorkers(2), ring.NewRandomOrderEngine(7)}
 	for _, engine := range engines {
 		out, err := Run(HirschbergSinclair, ids, engine)
 		if err != nil {

@@ -32,7 +32,7 @@ func flattenPerLink(s *ring.Stats) map[[2]int]ring.LinkStats {
 // TestPropertyBatchMatchesSerial is the batch-equivalence property: RunBatch
 // results must be bit-for-bit identical to serial core.Check across
 // algorithms, schedules and worker counts. Run it with -race to cover the
-// pool and the concurrent engine.
+// pool and the sharded engine's workers.
 func TestPropertyBatchMatchesSerial(t *testing.T) {
 	recs := []core.Recognizer{
 		core.NewThreeCounters(),
@@ -42,20 +42,30 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 	schedules := []struct {
 		name string
 		seed int64
+		// pinned, when set, is the batch's engine instead of the one the
+		// name resolves to; the serial baseline still resolves the name.
+		pinned ring.Engine
 	}{
-		{"", 0},
-		{"sequential", 0},
-		{"random", 3},
-		{"random", 11},
-		{"round-robin", 0},
-		{"adversarial", 0},
-		{"concurrent", 0},
+		{"", 0, nil},
+		{"sequential", 0, nil},
+		{"random", 3, nil},
+		{"random", 11, nil},
+		{"round-robin", 0, nil},
+		{"adversarial", 0, nil},
+		// Two forced workers, so the batch's processors race on real
+		// goroutines on these small rings; the serial "sharded" baseline
+		// falls back to the FIFO loop there.
+		{"sharded", 0, ring.NewShardedEngineWorkers(2)},
 	}
 	sizes := []int{3, 9, 21}
 	// One pinned engine per schedule, shared by all of its jobs as a
 	// long-lived caller would share it.
 	engines := make([]ring.Engine, len(schedules))
 	for i, s := range schedules {
+		if s.pinned != nil {
+			engines[i] = s.pinned
+			continue
+		}
 		name := s.name
 		if name == "" {
 			name = "sequential"

@@ -6,14 +6,14 @@
 // deterministic given a schedule and seed, and the schedule-axis property
 // tests pin every algorithm's bit totals to be schedule-independent anyway.
 // That makes results ideal memoization targets: a repeated word never needs
-// to re-run an engine, it needs a map lookup. Deterministic schedules
-// (sequential, round-robin, adversarial, concurrent) are cacheable under a
-// zero seed; random-order runs are keyed by their seed, so two seeds never
-// share an entry.
+// to re-run an engine, it needs a map lookup. Seed-independent schedules
+// (sequential, round-robin, adversarial, sharded) are cacheable under a zero
+// seed; random-order and fault-schedule runs are keyed by their seed, so two
+// seeds never share an entry (ring.ScheduleUsesSeed draws the line).
 //
 // The entry point is Cache, generic over the stored value (the server stores
-// *ringlang.Report snapshots, which are independent of pooled run state and
-// safe to share between requests):
+// the wire payload of each answer, a fixed-size value independent of pooled
+// run state and safe to share between requests):
 //
 //   - New(capacity, shards) builds a cache of power-of-two shards, each a
 //     mutex-guarded map plus an intrusive LRU list. Lock contention splits

@@ -50,9 +50,8 @@ var ErrCheckpointMismatch = errors.New("ring: checkpoint does not match the run"
 //   - "adversarial" is deterministic but its newest-first hint stacks are
 //     deliberately hostile bookkeeping with stale-hint skipping; it is kept
 //     off the stable list rather than frozen into a compatibility contract.
-//   - "concurrent" and "sharded" race real goroutines: the interleaving is
-//     timing-dependent, so no two runs are guaranteed to share a delivery
-//     prefix at all.
+//   - "sharded" races real goroutines: the interleaving is timing-dependent,
+//     so no two runs are guaranteed to share a delivery prefix at all.
 func ScheduleIsPrefixStable(name string) bool {
 	switch CanonicalScheduleName(name) {
 	case "sequential", "round-robin":

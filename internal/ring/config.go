@@ -38,10 +38,11 @@ type Config struct {
 	// not.
 	RequireVerdict bool
 	// Ctx, when non-nil, lets the caller cancel the run. Engines check it at
-	// amortized cost (every ctxCheckInterval deliveries for the event loop, a
-	// watcher goroutine for the concurrent engine), so the steady-state hot
-	// path stays allocation-free; a canceled run fails with an error matching
-	// both ErrCanceled and the context's own error under errors.Is.
+	// amortized cost (every ctxCheckInterval deliveries for the event loop,
+	// every budgetBatch deliveries and when idle for a sharded worker), so the
+	// steady-state hot path stays allocation-free; a canceled run fails with
+	// an error matching both ErrCanceled and the context's own error under
+	// errors.Is.
 	Ctx context.Context
 }
 

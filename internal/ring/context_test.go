@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"ringlang/internal/bits"
 )
@@ -71,8 +70,7 @@ func requireCanceled(t *testing.T, err error) {
 }
 
 // TestLoopPreCanceledContext pins the fast path: a context canceled before
-// the run starts fails every scheduler-backed engine without delivering a
-// single message.
+// the run starts fails every engine without delivering a single message.
 func TestLoopPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -81,7 +79,7 @@ func TestLoopPreCanceledContext(t *testing.T) {
 		NewRandomOrderEngine(3),
 		NewRoundRobinEngine(),
 		NewAdversarialEngine(0),
-		NewConcurrentEngine(),
+		NewShardedEngineWorkers(2),
 	} {
 		_, err := eng.Run(Config{RequireVerdict: true, Ctx: ctx}, tokenNodes(8))
 		requireCanceled(t, err)
@@ -127,27 +125,6 @@ func TestLoopCancelWithReusedState(t *testing.T) {
 	}
 	if res.Verdict != VerdictAccept {
 		t.Errorf("verdict = %v after reuse", res.Verdict)
-	}
-}
-
-// TestConcurrentEngineCancelMidRun starts an endless circulation on the
-// goroutine-per-processor engine and cancels it from outside; the watcher
-// must shut the run down promptly with ErrCanceled and every goroutine must
-// drain (the engine joins processors and pumps before returning).
-func TestConcurrentEngineCancelMidRun(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := NewConcurrentEngine().Run(Config{Ctx: ctx, MaxMessages: 1 << 30}, spinNodes(8))
-		errCh <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-errCh:
-		requireCanceled(t, err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("concurrent engine did not shut down after cancel")
 	}
 }
 

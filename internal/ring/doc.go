@@ -22,10 +22,11 @@
 //   - Adversarial: the loop under a bounded-delay adversary that prefers the
 //     newest non-empty link (maximally anti-FIFO) with a fairness bound so
 //     every message still experiences only a finite delay.
-//   - Concurrent: one goroutine per processor connected by unbounded links,
-//     i.e. a genuinely asynchronous execution; used to demonstrate that the
-//     algorithms are correct under real concurrency and to cross-check the
-//     scheduler-backed engines.
+//   - Sharded: the ring split into contiguous segments, one worker goroutine
+//     per segment and at most one per core, each running its own FIFO loop;
+//     the interleaving is whatever the workers race to, while every reported
+//     quantity is an order-independent aggregate. Small rings and traced runs
+//     fall back to the serial loop.
 //
 // New schedules need only implement Scheduler and wrap it with
 // NewScheduledEngine; NewEngineByName resolves the built-in names (see

@@ -59,7 +59,7 @@ func validateSend(cfg Config, s Send) error {
 // routeSend validates one send against the topology and resolves where it
 // goes: the receiving processor and the arrival direction as the receiver
 // perceives it. It is the only caller of validateSend, so every engine —
-// scheduler-backed or concurrent — enforces identical legality rules.
+// scheduler-backed or sharded — enforces identical legality rules.
 func routeSend(cfg Config, fromProc int, s Send, n int) (to int, arrival Direction, err error) {
 	if err := validateSend(cfg, s); err != nil {
 		return 0, 0, fmt.Errorf("processor %d: %w", fromProc, err)

@@ -25,7 +25,7 @@ type Node interface {
 }
 
 // verdictSink receives the leader's decision. Both the single-goroutine loop
-// state and the concurrent engine's shared state implement it; contexts hold
+// state and the sharded engine's shared run implement it; contexts hold
 // one shared sink pointer instead of one decide closure per processor, which
 // keeps a reused context slice allocation-free.
 type verdictSink interface {

@@ -9,9 +9,8 @@ import "fmt"
 // legal execution; running an algorithm under many seeds is how the test
 // suite checks that verdicts and bit totals are schedule-independent.
 //
-// Messages on the same directed link still respect FIFO order (links are
-// channels; they do not reorder), matching the concurrent engine's link
-// semantics.
+// Messages on the same directed link still respect FIFO order: links are
+// channels, and they do not reorder.
 type RandomOrderEngine struct {
 	seed int64
 }

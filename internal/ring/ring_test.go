@@ -170,8 +170,11 @@ func (r *rogueDeciderNode) Receive(ctx *Context, from Direction, payload bits.St
 	return nil, ctx.Accept()
 }
 
+// engines are the engines the basic ring tests run on: the serial loop and
+// the sharded engine at two forced workers, so node code also runs on
+// several goroutines.
 func engines() []Engine {
-	return []Engine{NewSequentialEngine(), NewConcurrentEngine()}
+	return []Engine{NewSequentialEngine(), NewShardedEngineWorkers(2)}
 }
 
 func TestTokenAroundRing(t *testing.T) {
@@ -215,6 +218,8 @@ func TestCounterRing(t *testing.T) {
 	}
 }
 
+// TestSequentialConcurrentBitEquivalence checks that a run whose processors
+// race on two sharded workers accounts exactly what the serial loop does.
 func TestSequentialConcurrentBitEquivalence(t *testing.T) {
 	for _, n := range []int{2, 7, 20} {
 		nodes1 := make([]Node, n)
@@ -227,7 +232,7 @@ func TestSequentialConcurrentBitEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conc, err := NewConcurrentEngine().Run(Config{RequireVerdict: true}, nodes2)
+		conc, err := NewShardedEngineWorkers(2).Run(Config{RequireVerdict: true}, nodes2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +240,7 @@ func TestSequentialConcurrentBitEquivalence(t *testing.T) {
 			t.Errorf("n=%d verdict mismatch: %v vs %v", n, seq.Verdict, conc.Verdict)
 		}
 		if seq.Stats.Bits != conc.Stats.Bits || seq.Stats.Messages != conc.Stats.Messages {
-			t.Errorf("n=%d stats mismatch: seq %d bits/%d msgs, conc %d bits/%d msgs",
+			t.Errorf("n=%d stats mismatch: seq %d bits/%d msgs, sharded %d bits/%d msgs",
 				n, seq.Stats.Bits, seq.Stats.Messages, conc.Stats.Bits, conc.Stats.Messages)
 		}
 	}

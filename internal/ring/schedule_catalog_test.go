@@ -25,7 +25,6 @@ func TestScheduleCatalogClassification(t *testing.T) {
 		{"random", "random", true, false, ExactlyOnce},
 		{"round-robin", "round-robin", false, true, ExactlyOnce},
 		{"adversarial", "adversarial", false, false, ExactlyOnce},
-		{"concurrent", "concurrent", false, false, ExactlyOnce},
 		{"sharded", "sharded", false, false, ExactlyOnce},
 		{"lossy", "lossy", true, false, ExactlyOnce},
 		{"duplicating", "duplicating", true, false, AtLeastOnce},
@@ -103,8 +102,8 @@ func TestScheduleCatalogResolution(t *testing.T) {
 			t.Errorf("%q: engine %s guarantees %v, name classifies as %v", name, engine.Name(), got, want)
 		}
 		switch CanonicalScheduleName(name) {
-		case "concurrent", "sharded":
-			// Dedicated engine types, not scheduler-backed.
+		case "sharded":
+			// A dedicated engine type, not scheduler-backed.
 			if _, err := NewSchedulerByName(name, 7); err == nil {
 				t.Errorf("NewSchedulerByName(%q) resolved; %q has no scheduler", name, name)
 			}
@@ -114,8 +113,12 @@ func TestScheduleCatalogResolution(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewEngineByName("bogus", 0); !errors.Is(err, ErrUnknownSchedule) {
-		t.Errorf("NewEngineByName(bogus) = %v, want ErrUnknownSchedule", err)
+	// "concurrent" named the deleted goroutine-per-processor engine; no alias
+	// keeps it alive.
+	for _, name := range []string{"bogus", "concurrent"} {
+		if _, err := NewEngineByName(name, 0); !errors.Is(err, ErrUnknownSchedule) {
+			t.Errorf("NewEngineByName(%q) = %v, want ErrUnknownSchedule", name, err)
+		}
 	}
 	if _, err := NewSchedulerByName("bogus", 0); !errors.Is(err, ErrUnknownSchedule) {
 		t.Errorf("NewSchedulerByName(bogus) = %v, want ErrUnknownSchedule", err)

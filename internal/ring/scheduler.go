@@ -314,16 +314,16 @@ func (s *adversarialScheduler) popOldest() int {
 	}
 }
 
-// ScheduleNames lists the schedule names accepted by NewSchedulerByName and
-// NewEngineByName (and hence by every -engine/-schedule flag and the facade's
-// Options.Schedule). "concurrent" and "sharded" are special: they name the
-// goroutine-per-processor and segment-sharded engines rather than
-// scheduler-backed ones. The tail of the list is the fault axis — schedules
-// that vary delivery fate, not just delivery order (see fault.go); use
+// ScheduleNames lists the schedule names accepted by NewEngineByName (and
+// hence by every -schedule flag and the facade's WithSchedule option).
+// "sharded" is special: it names the segment-sharded engine rather than a
+// scheduler-backed one, so NewSchedulerByName accepts every name but it.
+// The tail of the list is the fault axis — schedules that vary delivery
+// fate, not just delivery order (see fault.go); use
 // ScheduleDeliveryGuarantee to classify what each one still promises.
 func ScheduleNames() []string {
 	return []string{
-		"sequential", "random", "round-robin", "adversarial", "concurrent", "sharded",
+		"sequential", "random", "round-robin", "adversarial", "sharded",
 		"lossy", "duplicating", "crash-restart", "crash-repair",
 	}
 }
@@ -431,7 +431,7 @@ func NewSchedulerByName(name string, seed int64) (Scheduler, error) {
 
 // NewEngineByName resolves a schedule name (see ScheduleNames) to a
 // ready-to-run engine. This is the single lookup behind the cmd tools'
-// -engine/-schedule flags and the facade's Options.Schedule. The names with
+// -schedule flags and the facade's WithSchedule option. The names with
 // dedicated engine types are special-cased; everything else is resolved
 // through the shared scheduler table.
 //
@@ -442,8 +442,6 @@ func NewEngineByName(name string, seed int64) (Engine, error) {
 		return NewSequentialEngine(), nil
 	case "random":
 		return NewRandomOrderEngine(seed), nil
-	case "concurrent":
-		return NewConcurrentEngine(), nil
 	case "sharded":
 		return NewShardedEngine(), nil
 	}

@@ -476,8 +476,8 @@ func (wk *shardWorker) loop(r *shardRun, w int, contexts []Context) {
 			return
 		}
 		if !r.stopped() {
-			// Mirrors the serial loop and the concurrent engine: once a
-			// verdict (or failure) landed, response sends are dropped.
+			// Mirrors the serial loop: once a verdict (or failure) landed,
+			// response sends are dropped.
 			if err := wk.dispatch(r, d.To, sends); err != nil {
 				wk.err = err
 				r.stop()

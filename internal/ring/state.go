@@ -142,9 +142,8 @@ func shouldShrink(capacity, need int, runs *int) bool {
 }
 
 // StatefulEngine is implemented by engines that can execute a run inside
-// caller-owned reusable state. All scheduler-backed engines implement it (as
-// does the sharded engine); the concurrent engine does not (its state is
-// inherently per-run goroutine plumbing).
+// caller-owned reusable state. Every built-in engine implements it: the
+// scheduler-backed engines and the sharded engine.
 type StatefulEngine interface {
 	Engine
 	// RunWith behaves exactly like Run but reuses st's allocations. The

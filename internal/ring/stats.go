@@ -264,9 +264,9 @@ func (k EventKind) String() string {
 }
 
 // Event is a single entry of an execution trace. Seq is a global sequence
-// number establishing the total order of the recorded execution (for the
-// concurrent engine this is the observation order at the engine, which is a
-// legal serialization).
+// number establishing the total order of the recorded execution. Traces
+// come from the single-goroutine event loop only (a traced sharded run falls
+// back to it), so that order is the delivery order of the run.
 type Event struct {
 	Seq       int
 	Kind      EventKind

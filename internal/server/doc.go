@@ -46,6 +46,9 @@
 //
 // Every response is JSON. Failures carry the error string plus a stable
 // machine-readable code derived from the facade's sentinel taxonomy
-// (unknown-algorithm, unknown-language, unknown-schedule, canceled, closed,
-// run-failed) with the matching HTTP status.
+// (unknown-algorithm, unknown-language, unknown-schedule,
+// delivery-not-tolerated, canceled, closed, run-failed) with the matching
+// HTTP status; malformed requests answer bad-request (400), and the request
+// limits batch-too-large, word-too-large and body-too-large (413) and
+// overloaded (429).
 package server

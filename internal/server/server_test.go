@@ -85,7 +85,7 @@ func TestRecognizeEndToEnd(t *testing.T) {
 }
 
 func TestRecognizeUnknownAlgorithm(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	var got errorPayload
 	status := postJSON(t, ts.URL+"/v1/recognize",
 		runRequest{Algorithm: "no-such-thing", Word: "01"}, &got)
@@ -96,6 +96,37 @@ func TestRecognizeUnknownAlgorithm(t *testing.T) {
 		runRequest{Algorithm: "three-counters", Schedule: "bogus", Word: "01"}, &got)
 	if status != http.StatusBadRequest || got.Code != "unknown-schedule" {
 		t.Errorf("status=%d payload=%+v", status, got)
+	}
+
+	// "concurrent" named the deleted goroutine-per-processor engine: every
+	// run endpoint refuses it as an unknown schedule before any engine work,
+	// so the cache records no miss.
+	missesBefore := s.CacheStats().Misses
+	for _, tc := range []struct {
+		endpoint string
+		req      runRequest
+	}{
+		{"/v1/recognize", runRequest{Algorithm: "majority", Schedule: "concurrent", Word: "110101"}},
+		{"/v1/batch", runRequest{Algorithm: "majority", Schedule: "concurrent", Words: []string{"110101", "0011"}}},
+	} {
+		got = errorPayload{}
+		status = postJSON(t, ts.URL+tc.endpoint, tc.req, &got)
+		if status != http.StatusBadRequest || got.Code != "unknown-schedule" {
+			t.Errorf("%s concurrent: status=%d payload=%+v", tc.endpoint, status, got)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/stream?algorithm=majority&schedule=concurrent&words=110101,0011")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = errorPayload{}
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest || got.Code != "unknown-schedule" {
+		t.Errorf("/v1/stream concurrent: status=%d payload=%+v err=%v", resp.StatusCode, got, err)
+	}
+	if misses := s.CacheStats().Misses; misses != missesBefore {
+		t.Errorf("refused concurrent requests changed cache misses %d -> %d", missesBefore, misses)
 	}
 }
 

@@ -115,8 +115,7 @@ type Report struct {
 	MaxMessageBits   int
 	ProcessorCount   int
 	// Schedule is the delivery schedule the run executed under.
-	Schedule          string
-	UsedConcurrentRun bool
+	Schedule string
 	// Stats is the full accounting snapshot (per-link traffic included). It
 	// is independent of any pooled run state and safe to retain.
 	Stats *Stats
