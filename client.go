@@ -25,8 +25,11 @@ import (
 //	ErrClosed               — the Client was Closed before the call
 //	ErrDeliveryNotTolerated — the schedule's delivery guarantee is weaker
 //	                          than the algorithm tolerates (see WithAllowFaults)
+//	ErrInvalidWord          — the word is empty or has a letter outside the
+//	                          algorithm's alphabet
 var (
 	ErrUnknownAlgorithm     = core.ErrUnknownAlgorithm
+	ErrInvalidWord          = lang.ErrInvalidWord
 	ErrUnknownLanguage      = lang.ErrUnknownLanguage
 	ErrUnknownSchedule      = ring.ErrUnknownSchedule
 	ErrCanceled             = ring.ErrCanceled

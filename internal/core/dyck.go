@@ -31,12 +31,6 @@ func NewBalancedCounter() *BalancedCounter {
 	return &BalancedCounter{TokenRecognizer: mustTokenRecognizer(TokenAlgo[dyckState]{
 		AlgoName: "balanced-counter",
 		Language: lang.NewDyck(),
-		CheckLetter: func(letter lang.Letter) error {
-			if letter != '(' && letter != ')' {
-				return fmt.Errorf("letter %q outside {(,)}", letter)
-			}
-			return nil
-		},
 		Passes: []TokenPass[dyckState]{{
 			Fold: func(s dyckState, letter lang.Letter) (dyckState, error) {
 				switch {

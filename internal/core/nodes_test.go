@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ringlang/internal/lang"
@@ -57,6 +58,44 @@ func TestNodeReuseRejectsForeignNodes(t *testing.T) {
 	// pointer to the recognizer that built them.
 	if _, err := NewMajority().RebuildNodes(word, nodes); err == nil {
 		t.Error("rebuild onto another instance's nodes should fail")
+	}
+}
+
+// TestRebuildWithForeignLetterKeepsRing pins that a failed rebuild changes
+// nothing: when the new word has a foreign letter at position i, every one
+// of the n nodes keeps its old letter — also those before i, which the
+// relabelling would reach first. It covers recognizers that check the word
+// against their alphabet and those that declare CheckLetter.
+func TestRebuildWithForeignLetterKeepsRing(t *testing.T) {
+	const n = 12
+	const foreign = lang.Letter(0x10FFFF)
+	for _, rec := range allRecognizers(t) {
+		rb := rec.(NodeRebuilder)
+		a := rec.Language().Alphabet()
+		word := make(lang.Word, n)
+		for i := range word {
+			word[i] = a[0]
+		}
+		for _, bad := range []int{0, n / 2, n - 1} {
+			nodes, err := rec.NewNodes(word)
+			if err != nil {
+				t.Fatalf("%s: %v", rec.Name(), err)
+			}
+			next := make(lang.Word, n)
+			for i := range next {
+				next[i] = a[len(a)-1]
+			}
+			next[bad] = foreign
+			if _, err := rb.RebuildNodes(next, nodes); err == nil {
+				t.Fatalf("%s: rebuild onto a word with a foreign letter at %d succeeded", rec.Name(), bad)
+			}
+			for i, node := range nodes {
+				if got := lang.Letter(reflect.ValueOf(node).Elem().FieldByName("letter").Int()); got != word[i] {
+					t.Fatalf("%s: failed rebuild (foreign letter at %d) relabelled node %d from %q to %q",
+						rec.Name(), bad, i, word[i], got)
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"ringlang/internal/lang"
@@ -25,8 +24,16 @@ type Recognizer interface {
 }
 
 // ErrEmptyWord is returned when a recognizer is run on an empty ring: the
-// model always has at least one processor (the leader).
-var ErrEmptyWord = errors.New("core: ring must hold at least one letter")
+// model always has at least one processor (the leader). It wraps
+// lang.ErrInvalidWord, the sentinel of every word the caller got wrong.
+var ErrEmptyWord error = emptyWordError{}
+
+// emptyWordError is ErrEmptyWord's type: its own text, under the
+// invalid-word sentinel.
+type emptyWordError struct{}
+
+func (emptyWordError) Error() string { return "core: ring must hold at least one letter" }
+func (emptyWordError) Unwrap() error { return lang.ErrInvalidWord }
 
 // RunOptions configures a single recognition run.
 type RunOptions struct {

@@ -31,12 +31,6 @@ func NewThreeCounters() *ThreeCounters {
 	return &ThreeCounters{TokenRecognizer: mustTokenRecognizer(TokenAlgo[threeCountersState]{
 		AlgoName: "three-counters",
 		Language: lang.NewAnBnCn(),
-		CheckLetter: func(letter lang.Letter) error {
-			if letter != '0' && letter != '1' && letter != '2' {
-				return fmt.Errorf("letter %q outside {0,1,2}", letter)
-			}
-			return nil
-		},
 		Passes: []TokenPass[threeCountersState]{{
 			Begin: func(threeCountersState, int) (threeCountersState, error) {
 				return threeCountersState{valid: true}, nil

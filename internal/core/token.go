@@ -52,8 +52,11 @@ type TokenAlgo[S any] struct {
 	// Dir is the direction the token travels; the zero value means Forward.
 	// A Backward token implies a bidirectional ring.
 	Dir ring.Direction
-	// CheckLetter optionally validates each processor's letter at node
-	// construction; nil accepts exactly the language's alphabet.
+	// CheckLetter validates each processor's letter at node construction.
+	// Declare it only where the language's alphabet cannot express the
+	// check cheaply — an O(1) index test for a wide alphabet, an automaton's
+	// own alphabet. Nil checks the whole word once against the language's
+	// alphabet with lang.Alphabet.ValidWord.
 	CheckLetter func(lang.Letter) error
 	// Passes is the token's itinerary, in order. Every pass visits all n
 	// processors once, leader first.
@@ -67,10 +70,9 @@ type TokenAlgo[S any] struct {
 // NewTokenRecognizer; the zero value is not usable.
 type TokenRecognizer[S any] struct {
 	spec TokenAlgo[S]
-	// check is the per-letter validation NewNodes and RebuildNodes apply —
-	// the spec's own CheckLetter, or alphabet membership. Resolved once at
-	// construction so the rebuild hot path closes over nothing.
-	check func(lang.Letter) error
+	// alphabet is the language's alphabet, which checkWord tests a word
+	// against when the spec declares no CheckLetter.
+	alphabet lang.Alphabet
 }
 
 // errInvalidTokenAlgo is wrapped by every NewTokenRecognizer validation error.
@@ -123,18 +125,7 @@ func NewTokenRecognizer[S any](spec TokenAlgo[S]) (*TokenRecognizer[S], error) {
 	if spec.Dir == 0 {
 		spec.Dir = ring.Forward
 	}
-	t := &TokenRecognizer[S]{spec: spec}
-	t.check = spec.CheckLetter
-	if t.check == nil {
-		alphabet := spec.Language.Alphabet()
-		t.check = func(letter lang.Letter) error {
-			if !alphabet.Contains(letter) {
-				return fmt.Errorf("letter %q outside the alphabet", letter)
-			}
-			return nil
-		}
-	}
-	return t, nil
+	return &TokenRecognizer[S]{spec: spec, alphabet: spec.Language.Alphabet()}, nil
 }
 
 // mustTokenRecognizer is the constructor for the statically-declared
@@ -165,15 +156,39 @@ func (t *TokenRecognizer[S]) Mode() ring.Mode {
 // Passes returns the number of token circulations the algorithm performs.
 func (t *TokenRecognizer[S]) Passes() int { return len(t.spec.Passes) }
 
+// checkWord validates every letter of word before a node is touched: with
+// the spec's CheckLetter when it declares one, otherwise with one ValidWord
+// over the whole word.
+//
+//ring:hotpath guard=TestNodeReuseStaysOnRebuildFloor
+func (t *TokenRecognizer[S]) checkWord(word lang.Word) error {
+	if check := t.spec.CheckLetter; check != nil {
+		for _, letter := range word {
+			if err := check(letter); err != nil {
+				return algoErr(t.spec.AlgoName, err)
+			}
+		}
+		return nil
+	}
+	if t.alphabet.ValidWord(word) == nil {
+		return nil
+	}
+	for _, letter := range word {
+		if !t.alphabet.Contains(letter) {
+			return algoErr(t.spec.AlgoName, fmt.Errorf("letter %q outside the alphabet", letter))
+		}
+	}
+	return nil
+}
+
 // NewNodes implements Recognizer.
 func (t *TokenRecognizer[S]) NewNodes(word lang.Word) ([]ring.Node, error) {
-	check := t.check
+	if err := t.checkWord(word); err != nil {
+		return nil, err
+	}
 	nodes := make([]ring.Node, len(word))
 	states := make([]tokenPassNode[S], len(word))
 	for i, letter := range word {
-		if err := check(letter); err != nil {
-			return nil, algoErr(t.spec.AlgoName, err)
-		}
 		states[i] = tokenPassNode[S]{alg: t, letter: letter, ringSize: len(word)}
 		nodes[i] = &states[i]
 	}
@@ -184,21 +199,21 @@ func (t *TokenRecognizer[S]) NewNodes(word lang.Word) ([]ring.Node, error) {
 // for an equal-length word in place, resetting every node to the state a
 // fresh construction would give it. At large n this is what keeps the
 // steady-state run cost in the engine loop instead of in allocating,
-// zeroing and faulting a fresh ring per word (see core.NodeReuse).
+// zeroing and faulting a fresh ring per word (see core.NodeReuse). A word
+// with a foreign letter leaves every node as it was.
 //
 //ring:hotpath guard=TestNodeReuseStaysOnRebuildFloor
 func (t *TokenRecognizer[S]) RebuildNodes(word lang.Word, prev []ring.Node) ([]ring.Node, error) {
 	if len(prev) != len(word) {
 		return nil, algoErr(t.spec.AlgoName, fmt.Errorf("rebuild: %d nodes for %d letters", len(prev), len(word)))
 	}
-	check := t.check
+	if err := t.checkWord(word); err != nil {
+		return nil, err
+	}
 	for i, letter := range word {
 		node, ok := prev[i].(*tokenPassNode[S])
 		if !ok || node.alg != t {
 			return nil, algoErr(t.spec.AlgoName, fmt.Errorf("rebuild: node %d was not built by this recognizer", i))
-		}
-		if err := check(letter); err != nil {
-			return nil, algoErr(t.spec.AlgoName, err)
 		}
 		node.letter = letter
 		node.seen = 0

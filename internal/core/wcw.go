@@ -41,12 +41,6 @@ func NewCompareWcW() *CompareWcW {
 	return &CompareWcW{TokenRecognizer: mustTokenRecognizer(TokenAlgo[wcwState]{
 		AlgoName: "compare-wcw",
 		Language: lang.NewWcW(),
-		CheckLetter: func(letter lang.Letter) error {
-			if letter != 'a' && letter != 'b' && letter != 'c' {
-				return fmt.Errorf("letter %q outside {a,b,c}", letter)
-			}
-			return nil
-		},
 		Passes: []TokenPass[wcwState]{{
 			Fold: func(s wcwState, letter lang.Letter) (wcwState, error) {
 				switch s.phase {

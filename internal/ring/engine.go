@@ -41,28 +41,32 @@ func arrivalDirection(d Direction) Direction {
 	return d.Opposite()
 }
 
-// validateSend checks a send against the topology mode.
-func validateSend(cfg Config, s Send) error {
-	switch s.Dir {
+// validateSend checks a send direction against the topology mode.
+func validateSend(mode Mode, dir Direction) error {
+	switch dir {
 	case Forward:
 		return nil
 	case Backward:
-		if cfg.Mode == Unidirectional {
+		if mode == Unidirectional {
 			return ErrBackwardInUnidirectional
 		}
 		return nil
 	default:
-		return fmt.Errorf("ring: invalid send direction %d", s.Dir)
+		return fmt.Errorf("ring: invalid send direction %d", dir)
 	}
 }
 
-// routeSend validates one send against the topology and resolves where it
-// goes: the receiving processor and the arrival direction as the receiver
-// perceives it. It is the only caller of validateSend, so every engine —
-// scheduler-backed or sharded — enforces identical legality rules.
-func routeSend(cfg Config, fromProc int, s Send, n int) (to int, arrival Direction, err error) {
-	if err := validateSend(cfg, s); err != nil {
-		return 0, 0, fmt.Errorf("processor %d: %w", fromProc, err)
+// routeSend validates one send direction against the topology mode and
+// resolves where the send goes: the receiving processor and the arrival
+// direction as the receiver perceives it. It is the only caller of
+// validateSend, so every engine — scheduler-backed or sharded — enforces
+// identical legality rules. A Forward send is legal on every ring, so it
+// skips the validation.
+func routeSend(mode Mode, fromProc int, dir Direction, n int) (to int, arrival Direction, err error) {
+	if dir != Forward {
+		if err := validateSend(mode, dir); err != nil {
+			return 0, 0, fmt.Errorf("processor %d: %w", fromProc, err)
+		}
 	}
-	return neighbour(fromProc, s.Dir, n), arrivalDirection(s.Dir), nil
+	return neighbour(fromProc, dir, n), arrivalDirection(dir), nil
 }

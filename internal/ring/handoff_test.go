@@ -259,14 +259,53 @@ func (f *floodNode) send(ctx *ring.Context, ttl uint64) []ring.Send {
 	return ctx.Reply(ring.Forward, w.String())
 }
 
+// sharedReplyNode relays a hop counter Forward, and every processor of the
+// ring returns the same one-element []Send: each Receive rewrites the slot
+// that the previous hop returned and the loop may still hold. The loop reads
+// a held reply before its receiver runs, so the rewrite must not show; the
+// counter's Elias-γ length grows with the hops, so a late read changes the
+// bits.
+type sharedReplyNode struct {
+	reply []ring.Send
+	limit uint64
+}
+
+func (r *sharedReplyNode) Start(ctx *ring.Context) ([]ring.Send, error) {
+	return r.send(ctx, 1), nil
+}
+
+func (r *sharedReplyNode) Receive(ctx *ring.Context, _ ring.Direction, payload bits.String) ([]ring.Send, error) {
+	hops, err := bits.NewReader(payload).ReadEliasGamma()
+	if err != nil || hops >= r.limit {
+		return nil, err
+	}
+	return r.send(ctx, hops+1), nil
+}
+
+func (r *sharedReplyNode) send(ctx *ring.Context, hops uint64) []ring.Send {
+	w := ctx.Writer()
+	w.WriteEliasGamma(hops)
+	r.reply[0] = ring.Send{Dir: ring.Forward, Payload: w.BitString()}
+	return r.reply
+}
+
 // multiMessageWorkloads are ring-level node sets that keep more than one
-// message in flight for part of the run.
+// message in flight for part of the run, plus the shared-reply relay.
 func multiMessageWorkloads(n int, rng *rand.Rand) []handoffWorkload {
 	ids := make([]uint64, n)
 	for i, v := range rng.Perm(n) {
 		ids[i] = uint64(v + 1)
 	}
 	out := []handoffWorkload{
+		{name: "shared-reply-relay", run: func(eng ring.Engine) error {
+			reply := make([]ring.Send, 1)
+			nodes := make([]ring.Node, n)
+			for i := range nodes {
+				nodes[i] = &sharedReplyNode{reply: reply, limit: uint64(3*n + 5)}
+			}
+			_, err := eng.Run(ring.Config{Mode: ring.Unidirectional, Initiators: ring.LeaderOnly}, nodes)
+			return err
+		}},
 		{name: "bidirectional-relay", run: func(eng ring.Engine) error {
 			nodes := make([]ring.Node, n)
 			for i := range nodes {

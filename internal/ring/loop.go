@@ -108,26 +108,20 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 	n := len(nodes)
 	lp := &st.loop
 	lp.reset(cfg, n)
-	contexts := st.resetContexts(n)
-	for i := range contexts {
-		// Field-wise reset keeps each context's scratch writer (and its grown
-		// buffer) alive across the runs of a reused RunState.
-		contexts[i].isLeader = i == LeaderIndex
-		contexts[i].proc = i
-		contexts[i].sink = lp
-	}
+	//ringvet:ignore hotpathalloc -- a pointer goes into the interface word as is; nothing is boxed
+	contexts := st.resetContexts(n, lp)
 
 	sched.Reset(numLinks(n))
 	dispatch := func(fromProc int, sends []Send) error {
 		for _, s := range sends {
-			to, arrival, err := routeSend(cfg, fromProc, s, n)
+			to, arrival, err := routeSend(cfg.Mode, fromProc, s.Dir, n)
 			if err != nil {
 				return err
 			}
 			if cfg.RecordTrace {
 				s.Payload = lp.traceSend(fromProc, s)
 			}
-			lp.stats.record(to, arrival, s.Payload)
+			lp.stats.record(to, arrival, s.Payload.Len())
 			sched.Push(linkIndex(to, arrival), Delivery{To: to, From: arrival, Payload: s.Payload})
 		}
 		return nil
@@ -185,15 +179,25 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 	// Hand-off: when a delivery's Receive returns exactly one send, the
 	// scheduler holds nothing else and the message goes to another
 	// processor, Push followed by Next would return that very message under
-	// a handoffScheduler. The loop keeps it in held instead and performs it
-	// on the next iteration, telling the scheduler about the forced choice it
-	// skipped. The payload stays a view of the sender's scratch writer, which
-	// nothing touches before the receiver returns; a message a processor
-	// sends to itself (n = 1) takes the queue path, whose copy keeps the
-	// payload apart from the writer the receiver is about to reuse.
+	// a handoffScheduler. The loop holds it instead — its receiver, arrival
+	// direction and a pointer to the sender's one-element reply — and
+	// performs it on the next iteration, telling the scheduler about the
+	// forced choice it skipped. The reply is read in place, before the
+	// receiver runs: only its sender rewrites it (a Context's Reply slot, or
+	// whatever slice the node returned), and the sender cannot run before
+	// the held delivery, which comes next. The payload stays a view of the
+	// sender's scratch writer on the same grounds. With a trace the loop
+	// holds its own copy of the send, carrying the trace's clone. A message a
+	// processor sends to itself (n = 1) takes the queue path, whose copy
+	// keeps the payload apart from the writer the receiver is about to
+	// reuse.
 	ho, _ := sched.(handoffScheduler)
-	var held Delivery
-	holding := false
+	var (
+		held     *Send
+		heldTo   int
+		heldFrom Direction
+		traced   Send
+	)
 
 	// Delivery loop. Cancellation is polled every ctxCheckInterval deliveries:
 	// a non-blocking receive on a prefetched Done channel, so runs with a
@@ -206,15 +210,21 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 			default:
 			}
 		}
-		var d Delivery
-		if holding {
-			d, holding = held, false
+		var (
+			to      int
+			from    Direction
+			payload bits.String
+		)
+		if held != nil {
+			to, from, payload = heldTo, heldFrom, held.Payload
+			held = nil
 			ho.forced()
 		} else {
-			var ok bool
-			if d, ok = sched.Next(); !ok {
+			d, ok := sched.Next()
+			if !ok {
 				break
 			}
+			to, from, payload = d.To, d.From, d.Payload
 		}
 		if delivered >= cfg.MaxMessages {
 			return nil, fmt.Errorf("%w: %d messages", ErrMessageBudgetExceeded, delivered)
@@ -224,12 +234,12 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 			// A payload popped from the FIFO arena is recycled a couple of
 			// deliveries later; the trace outlives that, so snapshot it.
 			//ringvet:ignore hotpathalloc -- trace recording is opt-in and excluded from the alloc budget
-			lp.trace = append(lp.trace, Event{Seq: lp.seq, Kind: EventReceive, Processor: d.To, Dir: d.From, Payload: d.Payload.Clone()})
+			lp.trace = append(lp.trace, Event{Seq: lp.seq, Kind: EventReceive, Processor: to, Dir: from, Payload: payload.Clone()})
 			lp.seq++
 		}
-		sends, err := nodes[d.To].Receive(&contexts[d.To], d.From, d.Payload)
+		sends, err := nodes[to].Receive(&contexts[to], from, payload)
 		if err != nil {
-			return nil, fmt.Errorf("ring: receive at processor %d: %w", d.To, err)
+			return nil, fmt.Errorf("ring: receive at processor %d: %w", to, err)
 		}
 		if lp.verdict != VerdictNone {
 			// The leader decided while processing this delivery; the paper's
@@ -237,21 +247,22 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 			break
 		}
 		if len(sends) == 1 && ho != nil && ho.idle() {
-			s := sends[0]
-			to, arrival, err := routeSend(cfg, d.To, s, n)
+			s := &sends[0]
+			next, arrival, err := routeSend(cfg.Mode, to, s.Dir, n)
 			if err != nil {
 				return nil, err
 			}
 			if cfg.RecordTrace {
-				s.Payload = lp.traceSend(d.To, s)
+				traced = Send{Dir: s.Dir, Payload: lp.traceSend(to, *s)}
+				s = &traced
 			}
-			lp.stats.record(to, arrival, s.Payload)
-			if to != d.To {
-				held, holding = Delivery{To: to, From: arrival, Payload: s.Payload}, true
+			lp.stats.record(next, arrival, s.Payload.Len())
+			if next != to {
+				held, heldTo, heldFrom = s, next, arrival
 			} else {
-				sched.Push(linkIndex(to, arrival), Delivery{To: to, From: arrival, Payload: s.Payload})
+				sched.Push(linkIndex(next, arrival), Delivery{To: next, From: arrival, Payload: s.Payload})
 			}
-		} else if err := dispatch(d.To, sends); err != nil {
+		} else if err := dispatch(to, sends); err != nil {
 			return nil, err
 		}
 		if delivered == stopAt {
@@ -259,9 +270,9 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 			// fired: freeze the undecided state between deliveries. A held
 			// message goes back into the idle queue first, where the capture
 			// sees it and from which the run goes on exactly as before.
-			if holding {
-				sched.Push(linkIndex(held.To, held.From), held)
-				holding = false
+			if held != nil {
+				sched.Push(linkIndex(heldTo, heldFrom), Delivery{To: heldTo, From: heldFrom, Payload: held.Payload})
+				held = nil
 			}
 			cp, err := captureCheckpoint(ck, lp, nodes, delivered)
 			if err != nil {

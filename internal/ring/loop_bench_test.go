@@ -66,11 +66,11 @@ func seedSequentialRun(cfg Config, nodes []Node) (*Result, error) {
 	var queue []pendingDelivery
 	dispatch := func(fromProc int, sends []Send) error {
 		for _, s := range sends {
-			to, arrival, err := routeSend(cfg, fromProc, s, n)
+			to, arrival, err := routeSend(cfg.Mode, fromProc, s.Dir, n)
 			if err != nil {
 				return err
 			}
-			stats.record(to, arrival, s.Payload)
+			stats.record(to, arrival, s.Payload.Len())
 			addEvent(Event{Kind: EventSend, Processor: fromProc, Dir: s.Dir, Payload: s.Payload})
 			seq++
 			queue = append(queue, pendingDelivery{to: to, from: arrival, payload: s.Payload})
@@ -158,11 +158,11 @@ func seedRandomOrderRun(cfg Config, nodes []Node, seedVal int64) (*Result, error
 	var nonEmpty []linkKey
 	dispatch := func(fromProc int, sends []Send) error {
 		for _, s := range sends {
-			to, arrival, err := routeSend(cfg, fromProc, s, n)
+			to, arrival, err := routeSend(cfg.Mode, fromProc, s.Dir, n)
 			if err != nil {
 				return err
 			}
-			stats.record(to, arrival, s.Payload)
+			stats.record(to, arrival, s.Payload.Len())
 			key := linkKey{to: to, from: arrival}
 			q := queues[key]
 			if len(q) == 0 {

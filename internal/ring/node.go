@@ -65,10 +65,15 @@ func (c *Context) Writer() *bits.Writer {
 
 // Reply returns a single-element send slice backed by per-processor storage,
 // avoiding the per-message []Send allocation of a slice literal. The returned
-// slice is valid until this processor's next Reply call; the engine consumes
-// it before the next delivery, so handlers may return it directly.
+// slice is valid until this processor's next Reply call; the engine reads it
+// before this processor runs again, so handlers may return it directly.
 func (c *Context) Reply(dir Direction, payload bits.String) []Send {
-	c.sendBuf[0] = Send{Dir: dir, Payload: payload}
+	// Field by field: the compiler builds a composite literal in a stack
+	// temporary with 8-byte stores and copies it over with 16-byte moves,
+	// whose loads cannot be forwarded from those stores and stall.
+	s := &c.sendBuf[0]
+	s.Dir = dir
+	s.Payload = payload
 	return c.sendBuf[:1]
 }
 

@@ -381,7 +381,7 @@ func (wk *shardWorker) recordSend(r *shardRun, to int, arrival Direction, payloa
 //ring:hotpath guard=TestShardedSteadyStateAllocFloor
 func (wk *shardWorker) dispatch(r *shardRun, fromProc int, sends []Send) error {
 	for _, s := range sends {
-		to, arrival, err := routeSend(r.cfg, fromProc, s, r.n)
+		to, arrival, err := routeSend(r.cfg.Mode, fromProc, s.Dir, r.n)
 		if err != nil {
 			return err
 		}
@@ -504,12 +504,7 @@ func (r *shardRun) run(e *ShardedEngine, st *RunState, cfg Config, nodes []Node)
 	lp.stats.ensureLinks() // workers write the link arrays; allocate before they race
 	r.reset(cfg, nodes, &lp.stats, wn)
 
-	contexts := st.resetContexts(n)
-	for i := range contexts {
-		contexts[i].isLeader = i == LeaderIndex
-		contexts[i].proc = i
-		contexts[i].sink = r
-	}
+	contexts := st.resetContexts(n, r)
 
 	// Start phase: serial, before any worker exists, so it can push straight
 	// into the owning workers' local queues with no synchronization. This is
@@ -525,7 +520,7 @@ func (r *shardRun) run(e *ShardedEngine, st *RunState, cfg Config, nodes []Node)
 		}
 		// Route each start send directly into the receiver's owning worker.
 		for _, s := range sends {
-			to, arrival, err := routeSend(cfg, i, s, n)
+			to, arrival, err := routeSend(cfg.Mode, i, s.Dir, n)
 			if err != nil {
 				return nil, err
 			}

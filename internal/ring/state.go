@@ -25,6 +25,12 @@ type RunState struct {
 	loop     loopState
 	contexts []Context
 	writers  []bits.Writer
+	// wired counts the contexts, from the first, that already hold their
+	// processor index, leader flag, scratch writer and wiredSink, so a run
+	// of the same engine kind over at most that many processors rewires
+	// none of them.
+	wired     int
+	wiredSink verdictSink
 
 	// sched caches the scheduler built by the engine that last ran with this
 	// state, keyed by that engine, so repeated runs under one engine reuse
@@ -65,9 +71,11 @@ func (st *RunState) Reserve(n int) {
 	}
 	if cap(st.contexts) < n {
 		st.contexts = make([]Context, n)
+		st.wired = 0
 	}
 	if cap(st.writers) < n {
 		st.writers = make([]bits.Writer, n)
+		st.wired = 0
 	}
 	s := &st.loop.stats
 	links := numLinks(n)
@@ -79,26 +87,38 @@ func (st *RunState) Reserve(n int) {
 	s.oversizedRuns = 0
 }
 
-// resetContexts sizes the context slice for a ring of n processors and wires
-// every context's scratch writer to the flat writers array. Writer buffers
-// grown in previous runs stay attached, so steady-state reuse never
-// re-allocates payload scratch.
-func (st *RunState) resetContexts(n int) []Context {
+// resetContexts sizes the context slice for a ring of n processors and
+// wires each context to its processor, the run's verdict sink and its
+// scratch writer in the flat writers array. Writer buffers grown in previous
+// runs stay attached, so steady-state reuse never re-allocates payload
+// scratch. Contexts wired by an earlier run for the same sink are already
+// right and are left alone: wiring all n costs a store per field per
+// processor, every run.
+func (st *RunState) resetContexts(n int, sink verdictSink) []Context {
 	if shouldShrink(cap(st.contexts), n, &st.oversizedContexts) {
 		st.contexts = nil
 		st.writers = nil
 	}
 	if cap(st.contexts) < n {
 		st.contexts = make([]Context, n)
+		st.wired = 0
 	}
 	if cap(st.writers) < n {
 		st.writers = make([]bits.Writer, n)
+		st.wired = 0
+	}
+	if sink != st.wiredSink {
+		st.wired, st.wiredSink = 0, sink
 	}
 	contexts := st.contexts[:n]
-	writers := st.writers[:n]
-	for i := range contexts {
-		contexts[i].scratch = &writers[i]
+	for i := st.wired; i < n; i++ {
+		c := &contexts[i]
+		c.isLeader = i == LeaderIndex
+		c.proc = i
+		c.sink = sink
+		c.scratch = &st.writers[i]
 	}
+	st.wired = max(st.wired, n)
 	return contexts
 }
 

@@ -98,15 +98,14 @@ func (s *Stats) ensureLinks() {
 	}
 }
 
-// record accounts one message sent to processor `to`, arriving from
-// direction `arrival` as the receiver perceives it (the pair (to, arrival)
-// names the directed link, see linkIndex; the sender is implied by the
-// topology).
+// record accounts one message of n bits sent to processor `to`, arriving
+// from direction `arrival` as the receiver perceives it (the pair (to,
+// arrival) names the directed link, see linkIndex; the sender is implied by
+// the topology).
 //
 //ring:deterministic
 //ring:hotpath guard=TestEngineLoopAllocRegressionGuard
-func (s *Stats) record(to int, arrival Direction, payload bits.String) {
-	n := payload.Len()
+func (s *Stats) record(to int, arrival Direction, n int) {
 	s.Messages++
 	s.Bits += n
 	if n > s.MaxMessageBits {

@@ -41,11 +41,11 @@ func TestMinLinkBitsPrefersFewerBits(t *testing.T) {
 	s := newStats(4)
 	payload := oneBit()
 	// Links (0→1) and (1→2) carry two messages, (2→3) carries one.
-	s.record(1, Backward, payload)
-	s.record(1, Backward, payload)
-	s.record(2, Backward, payload)
-	s.record(2, Backward, payload)
-	s.record(3, Backward, payload)
+	s.record(1, Backward, payload.Len())
+	s.record(1, Backward, payload.Len())
+	s.record(2, Backward, payload.Len())
+	s.record(2, Backward, payload.Len())
+	s.record(3, Backward, payload.Len())
 	min, ok := s.MinLinkBits()
 	if !ok || min.From != 2 || min.To != 3 || min.Bits != 1 {
 		t.Fatalf("MinLinkBits = %+v/%v, want link (2,3) with 1 bit", min, ok)
@@ -57,8 +57,8 @@ func TestMinLinkBitsPrefersFewerBits(t *testing.T) {
 func TestStatsResetReuse(t *testing.T) {
 	s := newStats(4)
 	payload := oneBit()
-	s.record(1, Backward, payload)
-	s.record(0, Backward, payload)
+	s.record(1, Backward, payload.Len())
+	s.record(0, Backward, payload.Len())
 	if s.Messages != 2 || s.Bits != 2 {
 		t.Fatalf("unexpected totals %d/%d", s.Messages, s.Bits)
 	}
@@ -85,7 +85,7 @@ func TestStatsResetReuse(t *testing.T) {
 
 	// Growing the ring reallocates; shrinking reuses.
 	s.reset(2)
-	s.record(1, Backward, payload)
+	s.record(1, Backward, payload.Len())
 	if ls, ok := s.PerLink()[[2]int{0, 1}]; !ok || ls.Bits != 1 {
 		t.Fatalf("reuse after shrink broken: %+v/%v", ls, ok)
 	}
@@ -99,8 +99,8 @@ func TestPerLinkMergesSharedKeys(t *testing.T) {
 	payload := oneBit()
 	// 0→1 travelling forward (arrives from the receiver's backward side) and
 	// 0→1 travelling backward (arrives from the receiver's forward side).
-	s.record(1, Backward, payload)
-	s.record(1, Forward, payload)
+	s.record(1, Backward, payload.Len())
+	s.record(1, Forward, payload.Len())
 	view := s.PerLink()
 	if len(view) != 1 {
 		t.Fatalf("expected 1 merged entry, got %d", len(view))

@@ -46,9 +46,11 @@
 //
 // Every response is JSON. Failures carry the error string plus a stable
 // machine-readable code derived from the facade's sentinel taxonomy
-// (unknown-algorithm, unknown-language, unknown-schedule,
+// (unknown-algorithm, invalid-word, unknown-language, unknown-schedule,
 // delivery-not-tolerated, canceled, closed, run-failed) with the matching
-// HTTP status; malformed requests answer bad-request (400), and the request
-// limits batch-too-large, word-too-large and body-too-large (413) and
-// overloaded (429).
+// HTTP status. invalid-word (400) is an empty word or a letter outside the
+// algorithm's alphabet; run-failed (500) is left for failures that are not
+// the client's. Malformed requests answer bad-request (400), and the
+// request limits batch-too-large, word-too-large and body-too-large (413)
+// and overloaded (429).
 package server

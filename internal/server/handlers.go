@@ -103,6 +103,8 @@ func errorCode(err error) string {
 	switch {
 	case errors.Is(err, ringlang.ErrUnknownAlgorithm):
 		return "unknown-algorithm"
+	case errors.Is(err, ringlang.ErrInvalidWord):
+		return "invalid-word"
 	case errors.Is(err, ringlang.ErrUnknownLanguage):
 		return "unknown-language"
 	case errors.Is(err, ringlang.ErrUnknownSchedule):
@@ -123,7 +125,7 @@ func errorCode(err error) string {
 // the client is usually gone, but logs and tests still see a truthful code.
 func statusFor(err error) int {
 	switch errorCode(err) {
-	case "unknown-algorithm", "unknown-language", "unknown-schedule", "delivery-not-tolerated":
+	case "unknown-algorithm", "invalid-word", "unknown-language", "unknown-schedule", "delivery-not-tolerated":
 		return http.StatusBadRequest
 	case "canceled":
 		return 499

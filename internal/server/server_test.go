@@ -132,7 +132,8 @@ func TestRecognizeUnknownAlgorithm(t *testing.T) {
 
 // TestBatchPerWordErrors pins the serving tier to the library's no-fail-all
 // contract: a bad word inside a batch gets its own error entry and the words
-// around it keep their reports.
+// around it keep their reports. An off-alphabet or empty word is the
+// client's mistake, so its code is invalid-word.
 func TestBatchPerWordErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var got struct {
@@ -151,14 +152,95 @@ func TestBatchPerWordErrors(t *testing.T) {
 	if r := got.Results[0]; r.Error != "" || r.Report == nil || r.Report.Verdict != "accept" {
 		t.Errorf("good word 0 = %+v", r)
 	}
-	if r := got.Results[1]; r.Error == "" || r.Report != nil || r.Code != "run-failed" {
+	if r := got.Results[1]; r.Error == "" || r.Report != nil || r.Code != "invalid-word" {
 		t.Errorf("off-alphabet word 1 should fail alone: %+v", r)
 	}
 	if r := got.Results[2]; r.Error != "" || r.Report == nil || !r.Report.Member {
 		t.Errorf("good word 2 = %+v", r)
 	}
-	if r := got.Results[3]; r.Error == "" {
+	if r := got.Results[3]; r.Error == "" || r.Code != "invalid-word" {
 		t.Errorf("empty word 3 should fail: %+v", r)
+	}
+}
+
+// TestInvalidWordIsBadRequest pins invalid-word on the other two endpoints:
+// /v1/recognize answers an off-alphabet or empty word with 400, never 500,
+// and /v1/stream gives the word its own invalid-word line beside the good
+// word's report.
+func TestInvalidWordIsBadRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, word := range []string{"0x1", ""} {
+		var ep errorPayload
+		status := postJSON(t, ts.URL+"/v1/recognize", runRequest{Algorithm: "majority", Word: word}, &ep)
+		if status != http.StatusBadRequest || ep.Code != "invalid-word" || ep.Error == "" {
+			t.Errorf("recognize %q = %d %+v, want 400 invalid-word", word, status, ep)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/stream?algorithm=three-counters&words=001122,0a1,")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	seen := make(map[int]wordResult)
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var res wordResult
+		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
+			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+		}
+		seen[res.Index] = res
+	}
+	if resp.StatusCode != http.StatusOK || len(seen) != 3 {
+		t.Fatalf("stream = %d with %d lines, want 200 with 3", resp.StatusCode, len(seen))
+	}
+	if r := seen[0]; r.Report == nil || r.Report.Verdict != "accept" {
+		t.Errorf("good word in stream = %+v", r)
+	}
+	for _, i := range []int{1, 2} {
+		if r := seen[i]; r.Report != nil || r.Code != "invalid-word" {
+			t.Errorf("stream word %d = %+v, want invalid-word", i, r)
+		}
+	}
+}
+
+// TestWideAlphabetErrorsStayBounded sends a batch of 1024 off-alphabet words
+// to an algorithm whose alphabet has 65536 letters (parity at k=16): each
+// per-word error names the alphabet's size instead of quoting it, so the
+// response stays under 1 MiB.
+func TestWideAlphabetErrorsStayBounded(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	words := make([]string, 1024)
+	for i := range words {
+		words[i] = "x"
+	}
+	raw, err := json.Marshal(runRequest{Algorithm: "parity-two-pass", Language: "k=16", Words: words})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > 1<<20 {
+		t.Fatalf("batch of 1024 off-alphabet words answered with more than 1 MiB")
+	}
+	var got struct {
+		Results []wordResult `json:"results"`
+	}
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatalf("decoding %d-byte response: %v", len(body), err)
+	}
+	if resp.StatusCode != http.StatusOK || len(got.Results) != len(words) {
+		t.Fatalf("status %d with %d results, want 200 with %d", resp.StatusCode, len(got.Results), len(words))
+	}
+	if r := got.Results[0]; r.Code != "invalid-word" || !strings.Contains(r.Error, "65536 letters") {
+		t.Errorf("word 0 = %+v, want invalid-word naming the alphabet's size", r)
 	}
 }
 

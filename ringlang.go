@@ -33,8 +33,8 @@
 // Client.Batch and Client.Stream report per-word Results (a bad word never
 // fails its neighbours), cancellation propagates down to the engines, and
 // every failure wraps one of the package's typed sentinel errors
-// (ErrUnknownAlgorithm, ErrUnknownLanguage, ErrUnknownSchedule, ErrCanceled,
-// ErrClosed). Close is idempotent and safe under concurrent calls; a closed
+// (ErrUnknownAlgorithm, ErrInvalidWord, ErrUnknownLanguage,
+// ErrUnknownSchedule, ErrCanceled, ErrClosed). Close is idempotent and safe under concurrent calls; a closed
 // client reports ErrClosed instead of panicking. CurrentCatalog exposes the
 // algorithm/language/schedule name catalogs in one value — what `ringbench
 // -list` prints and ringserve serves at /v1/catalog.
