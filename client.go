@@ -58,7 +58,6 @@ type Client struct {
 	seed        int64
 	workers     int
 	trace       bool
-	presize     int
 	prefix      *core.PrefixCache
 	allowFaults bool
 
@@ -109,19 +108,6 @@ func WithWorkers(n int) Option {
 // expensive on large rings; leave it off in serving paths.
 func WithTrace(record bool) Option {
 	return func(c *Client) { c.trace = record }
-}
-
-// WithPresize pre-reserves each run's backing state — scheduler queues,
-// payload arena, per-processor contexts, per-link stats — for rings of up to
-// n processors, so large-ring runs proceed without growth reallocations. The
-// reservation applies to Recognize and to every pool worker Batch and Stream
-// fan words across. Values smaller than the actual ring are harmless: the run
-// grows past them as usual. For the catalog's single-token recognizers this
-// is the whole large-ring story: with one message in flight,
-// WithSchedule("sharded") has nothing to run in parallel, and the E15 sweep
-// times it level with "sequential" up to 2^20 processors.
-func WithPresize(n int) Option {
-	return func(c *Client) { c.presize = n }
 }
 
 // WithPrefixCache attaches a client-private prefix-checkpoint cache bounded
@@ -284,7 +270,7 @@ func (c *Client) Recognize(ctx context.Context, word Word) (*Report, error) {
 	if closed {
 		return nil, ErrClosed
 	}
-	res, err := core.Run(c.rec, word, core.RunOptions{Engine: c.engine, Ctx: ctx, RecordTrace: c.trace, Presize: c.presize, Prefix: c.prefix, AllowFaults: c.allowFaults})
+	res, err := core.Run(c.rec, word, core.RunOptions{Engine: c.engine, Ctx: ctx, RecordTrace: c.trace, Prefix: c.prefix, AllowFaults: c.allowFaults})
 	if err != nil {
 		return nil, fmt.Errorf("ringlang: %w", err)
 	}
@@ -392,7 +378,7 @@ func (c *Client) Stream(ctx context.Context, words []Word) iter.Seq2[int, Result
 func (c *Client) jobs(words []Word) []exec.Job {
 	jobs := make([]exec.Job, len(words))
 	for i, w := range words {
-		jobs[i] = exec.Job{Rec: c.rec, Word: w, Engine: c.engine, RecordTrace: c.trace, Presize: c.presize, Prefix: c.prefix, AllowFaults: c.allowFaults}
+		jobs[i] = exec.Job{Rec: c.rec, Word: w, Engine: c.engine, RecordTrace: c.trace, Prefix: c.prefix, AllowFaults: c.allowFaults}
 	}
 	return jobs
 }

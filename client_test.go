@@ -495,61 +495,6 @@ func TestClientAccessorsAndNilCtx(t *testing.T) {
 	}
 }
 
-// TestClientPresize pins the scale-plumbing option: a presized client must
-// produce reports identical to an unsized one, for single runs and for the
-// pooled batch path, under both the default and the sharded schedule. The
-// reservation itself (no growth reallocations on large rings) is pinned by
-// the allocation guards in internal/ring; here the contract is that presizing
-// is observationally invisible. Stats carry private shrink-policy bookkeeping
-// that legitimately differs between a fresh and a reserved state, so reports
-// are compared on their public surface.
-func samePresizeReport(want, got *Report) bool {
-	w, g := *want, *got
-	w.Stats, g.Stats = nil, nil
-	return reflect.DeepEqual(w, g) &&
-		want.Stats.Bits == got.Stats.Bits &&
-		want.Stats.Messages == got.Stats.Messages &&
-		want.Stats.MaxMessageBits == got.Stats.MaxMessageBits &&
-		reflect.DeepEqual(want.Stats.Links(), got.Stats.Links())
-}
-
-func TestClientPresize(t *testing.T) {
-	ctx := context.Background()
-	words := testWords()
-	for _, schedule := range []string{"sequential", "sharded"} {
-		plain, err := NewClient("three-counters", "", WithSchedule(schedule))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sized, err := NewClient("three-counters", "", WithSchedule(schedule), WithPresize(1<<12))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range words {
-			want, err := plain.Recognize(ctx, w)
-			if err != nil {
-				t.Fatalf("%s plain on %q: %v", schedule, w.String(), err)
-			}
-			got, err := sized.Recognize(ctx, w)
-			if err != nil {
-				t.Fatalf("%s presized on %q: %v", schedule, w.String(), err)
-			}
-			if !samePresizeReport(want, got) {
-				t.Errorf("%s on %q: presized report differs:\n%+v\n%+v", schedule, w.String(), want, got)
-			}
-		}
-		wantBatch := plain.Batch(ctx, words)
-		for i, r := range sized.Batch(ctx, words) {
-			if r.Err != nil {
-				t.Fatalf("%s presized batch word %d: %v", schedule, i, r.Err)
-			}
-			if !samePresizeReport(wantBatch[i].Report, r.Report) {
-				t.Errorf("%s presized batch word %d: report differs", schedule, i)
-			}
-		}
-	}
-}
-
 // TestClientKeptReportsSurviveLaterBatches pins that Batch and Stream
 // reports own their stats: on a one-worker client, every run reuses the same
 // worker state, yet the reports of an earlier call still equal a cold

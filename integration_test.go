@@ -59,10 +59,14 @@ func TestIntegrationTMPipelineAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	random, err := ring.NewEngineByName("random", 13)
+	if err != nil {
+		t.Fatal(err)
+	}
 	engines := []ring.Engine{
 		ring.NewSequentialEngine(),
 		ring.NewShardedEngineWorkers(2),
-		ring.NewRandomOrderEngine(13),
+		random,
 	}
 	words := []string{"0011", "000111", "0101", "0001110"}
 	for _, engine := range engines {

@@ -61,7 +61,7 @@ func prefixCorpus(alphabet lang.Alphabet, n, shared, count int, rng *rand.Rand) 
 // partial-hit resume (each sibling is visited exactly once).
 func timedPrefixRuns(rec core.Recognizer, words []lang.Word, engine ring.Engine, warmups, iters int, cache *core.PrefixCache) (nsPerOp, allocsPerOp float64, res *ring.Result, err error) {
 	st := ring.NewRunState()
-	opts := core.RunOptions{Engine: engine, State: st, Presize: len(words[0]), Ctx: defaultCtx, Prefix: cache, Reuse: core.NewNodeReuse()}
+	opts := core.RunOptions{Engine: engine, State: st, Ctx: defaultCtx, Prefix: cache, Reuse: core.NewNodeReuse()}
 	for i := 0; i < warmups; i++ {
 		if _, err = core.Run(rec, words[i%len(words)], opts); err != nil {
 			return 0, 0, nil, err

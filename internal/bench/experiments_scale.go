@@ -42,8 +42,8 @@ func scaleIters(n int, suite Suite) int {
 	return iters
 }
 
-// timedRuns executes the recognizer iters times on word with a reused,
-// pre-sized run state, and returns the per-run wall time and steady-state
+// timedRuns executes the recognizer iters times on word with a reused run
+// state, and returns the per-run wall time and steady-state
 // heap allocations plus the (schedule-independent) result of the final run.
 // The run state is reused and the ring is relabelled in place run to run
 // (core.NodeReuse), so the numbers measure the engine loop, not per-run
@@ -56,7 +56,7 @@ func scaleIters(n int, suite Suite) int {
 // an identical cell run second.
 func timedRuns(rec core.Recognizer, word lang.Word, engine ring.Engine, iters int) (nsPerOp, allocsPerOp float64, res *ring.Result, err error) {
 	st := ring.NewRunState()
-	opts := core.RunOptions{Engine: engine, State: st, Presize: len(word), Ctx: defaultCtx, Reuse: core.NewNodeReuse()}
+	opts := core.RunOptions{Engine: engine, State: st, Ctx: defaultCtx, Reuse: core.NewNodeReuse()}
 	warmups := 2 + iters/4
 	if warmups > 8 {
 		warmups = 8
@@ -85,7 +85,8 @@ func timedRuns(rec core.Recognizer, word lang.Word, engine ring.Engine, iters in
 // ExperimentE15 is the large-ring engine sweep: the count algorithm (one
 // Θ(log n)-bit token, one circuit — the lightest Θ(n log n) workload in the
 // catalog, so engine overhead dominates) timed at ring sizes up to 2^20 under
-// the serial and the sharded engine, with reused pre-sized run state. The
+// the serial and the sharded engine, with a reused run state that warm-up
+// runs size to the ring. The
 // bits column cross-checks the engines against each other; the ns/op and
 // allocs/op columns are the perf trajectory that BENCH_engine.json pins at
 // the repo root.
@@ -146,7 +147,7 @@ func ExperimentE15(sizes []int, suite Suite) (*Table, error) {
 		}
 	}
 	table.Notes = append(table.Notes,
-		"timings average the post-warm-up steady state: the run state is pre-sized (WithPresize), so allocs/op is the reuse floor, not cold-start growth",
+		"timings average the post-warm-up steady state: the run state is reused from the warm-up runs, so allocs/op is the reuse floor, not cold-start growth",
 		fmt.Sprintf("sharded engine sizing on this host: GOMAXPROCS=%d (below 2 effective workers it falls back to the serial loop, by design)", runtime.GOMAXPROCS(0)),
 	)
 	return table, nil

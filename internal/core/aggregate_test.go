@@ -45,7 +45,7 @@ func TestComputeAggregateMatchesReference(t *testing.T) {
 
 func TestComputeAggregateOnAllEngines(t *testing.T) {
 	word := lang.WordFromString("3141592653589793")
-	engines := []ring.Engine{nil, ring.NewShardedEngineWorkers(2), ring.NewRandomOrderEngine(5)}
+	engines := []ring.Engine{nil, ring.NewShardedEngineWorkers(2), mustEngine(t, "random", 5)}
 	for _, engine := range engines {
 		res, err := ComputeAggregate(AggregateSum, word, engine)
 		if err != nil {

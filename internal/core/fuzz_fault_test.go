@@ -41,9 +41,10 @@ func FuzzFaultScheduleAgreement(f *testing.F) {
 
 		// Map the fuzzed byte into (0, 1); 0 falls back to the default rate.
 		rate := float64(drop) / 256
+		lossy := func() ring.Scheduler { return ring.NewLossyScheduler(seed, rate, ring.DefaultMaxRetransmits) }
 		engines := []ring.Engine{
-			ring.NewLossyEngine(seed, rate, ring.DefaultMaxRetransmits),
-			ring.NewCrashRestartEngine(seed),
+			ring.NewScheduledEngine(lossy().Name(), lossy),
+			mustEngine(t, "crash-restart", seed),
 		}
 		for _, engine := range engines {
 			res, err := Run(rec, word, RunOptions{Engine: engine})

@@ -110,8 +110,8 @@ func TestNodeReuseStaysOnRebuildFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	word := lang.RandomWord(rec.Language().Alphabet(), n, rng)
 
-	freshOpts := RunOptions{State: ring.NewRunStateSized(n), Presize: n}
-	reusedOpts := RunOptions{State: ring.NewRunStateSized(n), Presize: n, Reuse: NewNodeReuse()}
+	freshOpts := RunOptions{State: ring.NewRunState()}
+	reusedOpts := RunOptions{State: ring.NewRunState(), Reuse: NewNodeReuse()}
 	for _, opts := range []RunOptions{freshOpts, reusedOpts} {
 		if _, err := Run(rec, word, opts); err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestNodeReuseAlternatesKeysOnRebuildFloor(t *testing.T) {
 			inputs = append(inputs, input{rec, lang.RandomWord(rec.Language().Alphabet(), n, rng)})
 		}
 	}
-	opts := RunOptions{State: ring.NewRunStateSized(sizes[len(sizes)-1]), Reuse: NewNodeReuse()}
+	opts := RunOptions{State: ring.NewRunState(), Reuse: NewNodeReuse()}
 	for _, in := range inputs {
 		fresh, err := Run(in.rec, in.word, RunOptions{})
 		if err != nil {

@@ -72,8 +72,8 @@ func TestPropertyScheduleIndependence(t *testing.T) {
 	engines := []ring.Engine{
 		ring.NewSequentialEngine(),
 		ring.NewShardedEngineWorkers(2),
-		ring.NewRandomOrderEngine(1),
-		ring.NewRandomOrderEngine(99),
+		mustEngine(t, "random", 1),
+		mustEngine(t, "random", 99),
 	}
 	for _, rec := range allRecognizers(t) {
 		language := rec.Language()

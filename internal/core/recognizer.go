@@ -58,13 +58,6 @@ type RunOptions struct {
 	// built-in engine supports it; a custom engine without state support
 	// ignores it.
 	State *ring.RunState
-	// Presize, when positive, pre-reserves State's backing arrays for a ring
-	// of that many processors before the run starts, so a large-ring run
-	// proceeds without queue- or context-growth reallocations. When State is
-	// nil and the engine supports reuse, a transient pre-sized state is
-	// created for the run. Values smaller than the word length are harmless:
-	// the run grows past them as usual.
-	Presize int
 	// Ctx, when non-nil, cancels the run: the engine aborts with an error
 	// matching ring.ErrCanceled (and the context's own error) under
 	// errors.Is. Cancellation is checked at amortized cost, so the hot path
@@ -142,26 +135,15 @@ func Run(rec Recognizer, word lang.Word, opts RunOptions) (*ring.Result, error) 
 	}
 	var res *ring.Result
 	if opts.Prefix != nil {
-		st := opts.State
-		if st != nil && opts.Presize > 0 {
-			st.Reserve(opts.Presize)
-		}
-		if r, handled, perr := prefixRun(opts.Prefix, rec, word, engine, st, cfg, nodes); handled {
+		if r, handled, perr := prefixRun(opts.Prefix, rec, word, engine, opts.State, cfg, nodes); handled {
 			if perr != nil {
 				return nil, fmt.Errorf("core: run %s on %d letters: %w", rec.Name(), len(word), perr)
 			}
 			return r, nil
 		}
 	}
-	if se, ok := engine.(ring.StatefulEngine); ok && (opts.State != nil || opts.Presize > 0) {
-		st := opts.State
-		if st == nil {
-			st = ring.NewRunState()
-		}
-		if opts.Presize > 0 {
-			st.Reserve(opts.Presize)
-		}
-		res, err = se.RunWith(st, cfg, nodes)
+	if se, ok := engine.(ring.StatefulEngine); ok && opts.State != nil {
+		res, err = se.RunWith(opts.State, cfg, nodes)
 	} else {
 		res, err = engine.Run(cfg, nodes)
 	}

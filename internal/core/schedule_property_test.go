@@ -25,12 +25,12 @@ func scheduleAxis(t *testing.T) []ring.Engine {
 	t.Helper()
 	engines := []ring.Engine{
 		ring.NewSequentialEngine(),
-		ring.NewRoundRobinEngine(),
-		ring.NewAdversarialEngine(ring.DefaultAdversarialBound),
-		ring.NewAdversarialEngine(2),
+		mustEngine(t, "round-robin", 0),
+		mustEngine(t, "adversarial", 0),
+		ring.NewScheduledEngine("adversarial(bound=2)", func() ring.Scheduler { return ring.NewAdversarialScheduler(2) }),
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		engines = append(engines, ring.NewRandomOrderEngine(seed))
+		engines = append(engines, mustEngine(t, "random", seed))
 	}
 	// The sharded engine with forced worker counts: the automatic sizing
 	// would fall back to the serial loop on property-sized rings, and the

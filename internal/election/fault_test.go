@@ -12,6 +12,22 @@ import (
 // at-least-once delivery as under the sequential schedule — at one extra bit
 // per message, which the duplicates themselves never inflate (stats are
 // recorded at send time, not delivery time).
+// duplicating runs the at-least-once schedule at rate 0.25, twice the
+// catalog default, so a short election meets duplicates.
+func duplicating(seed int64) ring.Engine {
+	build := func() ring.Scheduler { return ring.NewDuplicatingScheduler(seed, 0.25) }
+	return ring.NewScheduledEngine(build().Name(), build)
+}
+
+func mustEngine(t testing.TB, name string, seed int64) ring.Engine {
+	t.Helper()
+	e, err := ring.NewEngineByName(name, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestElectionDedupToleratesAtLeastOnce(t *testing.T) {
 	ids := RandomIDs(9, rand.New(rand.NewSource(42)))
 	for _, p := range []Protocol{ChangRoberts, DolevKlaweRodeh, HirschbergSinclair} {
@@ -22,7 +38,7 @@ func TestElectionDedupToleratesAtLeastOnce(t *testing.T) {
 		duplicated := 0
 		for seed := int64(1); seed <= 5; seed++ {
 			out, err := RunWith(p, ids, RunOptions{
-				Engine: ring.NewDuplicatingEngine(seed, 0.25),
+				Engine: duplicating(seed),
 				Dedup:  true,
 			})
 			if err != nil {
@@ -49,19 +65,21 @@ func TestElectionDedupToleratesAtLeastOnce(t *testing.T) {
 // Weaker-than-tolerated delivery is refused, typed, unless the caller opts in.
 func TestElectionRefusesUntoleratedDelivery(t *testing.T) {
 	ids := AscendingIDs(6)
+	lossyAt := func() ring.Scheduler { return ring.NewLossyScheduler(1, 0.25, 3) }
+	lossy := ring.NewScheduledEngine(lossyAt().Name(), lossyAt)
 	cases := []struct {
 		engine ring.Engine
 		opts   RunOptions
 		wantOK bool
 	}{
-		{ring.NewDuplicatingEngine(1, 0.25), RunOptions{}, false},
-		{ring.NewDuplicatingEngine(1, 0.25), RunOptions{Dedup: true}, true},
-		{ring.NewDuplicatingEngine(1, 0.25), RunOptions{AllowFaults: true}, true},
-		{ring.NewCrashRepairEngine(1), RunOptions{}, false},
-		{ring.NewCrashRepairEngine(1), RunOptions{Dedup: true}, false},
+		{duplicating(1), RunOptions{}, false},
+		{duplicating(1), RunOptions{Dedup: true}, true},
+		{duplicating(1), RunOptions{AllowFaults: true}, true},
+		{mustEngine(t, "crash-repair", 1), RunOptions{}, false},
+		{mustEngine(t, "crash-repair", 1), RunOptions{Dedup: true}, false},
 		// Exactly-once fault schedules need no opt-in at all.
-		{ring.NewLossyEngine(1, 0.25, 3), RunOptions{}, true},
-		{ring.NewCrashRestartEngine(1), RunOptions{}, true},
+		{lossy, RunOptions{}, true},
+		{mustEngine(t, "crash-restart", 1), RunOptions{}, true},
 	}
 	for _, tc := range cases {
 		opts := tc.opts
@@ -90,7 +108,7 @@ func TestElectionUnderCrashRepairIsTypedAndDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		run := func() (*Outcome, error) {
 			return RunWith(ChangRoberts, ids, RunOptions{
-				Engine:      ring.NewCrashRepairEngine(seed),
+				Engine:      mustEngine(t, "crash-repair", seed),
 				AllowFaults: true,
 			})
 		}

@@ -56,7 +56,7 @@ func TestHirschbergSinclairWorstCaseArrangements(t *testing.T) {
 func TestHirschbergSinclairOnConcurrentAndRandomEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	ids := RandomIDs(32, rng)
-	engines := []ring.Engine{ring.NewShardedEngineWorkers(2), ring.NewRandomOrderEngine(7)}
+	engines := []ring.Engine{ring.NewShardedEngineWorkers(2), mustEngine(t, "random", 7)}
 	for _, engine := range engines {
 		out, err := Run(HirschbergSinclair, ids, engine)
 		if err != nil {

@@ -203,7 +203,11 @@ func TestLentAndKeptResults(t *testing.T) {
 	b := []lang.Word{lang.WordFromString("001122012"), lang.WordFromString("222111000")}
 	pool := NewPool(1)
 	defer pool.Close()
-	for _, eng := range []ring.Engine{ring.NewSequentialEngine(), ring.NewRandomOrderEngine(5)} {
+	random, err := ring.NewEngineByName("random", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []ring.Engine{ring.NewSequentialEngine(), random} {
 		jobs := func(words []lang.Word) []Job {
 			out := make([]Job, len(words))
 			for i, w := range words {

@@ -33,10 +33,6 @@ type Job struct {
 	// RecordTrace records the full event trace of the run. The returned
 	// trace is freshly built per run and safe to retain.
 	RecordTrace bool
-	// Presize, when positive, pre-reserves the worker's reusable run state
-	// for a ring of that many processors before the run, so large-ring jobs
-	// proceed without growth reallocations (see core.RunOptions.Presize).
-	Presize int
 	// Prefix, when non-nil, reuses shared-prefix computation across the
 	// batch's runs (and any other runs sharing the cache): each job resumes
 	// from the deepest checkpoint the cache holds for a prefix of its word
@@ -263,7 +259,7 @@ func (w *worker) run(ctx context.Context, job Job) Result {
 	if job.Engine == nil {
 		return Result{Err: fmt.Errorf("exec: job has no engine")}
 	}
-	opts := core.RunOptions{Engine: job.Engine, State: w.st, Ctx: ctx, RecordTrace: job.RecordTrace, Presize: job.Presize, Prefix: job.Prefix, Reuse: w.reuse, AllowFaults: job.AllowFaults}
+	opts := core.RunOptions{Engine: job.Engine, State: w.st, Ctx: ctx, RecordTrace: job.RecordTrace, Prefix: job.Prefix, Reuse: w.reuse, AllowFaults: job.AllowFaults}
 	var res *ring.Result
 	var err error
 	if job.Check {

@@ -204,6 +204,55 @@ func TestParityIndexMembership(t *testing.T) {
 	}
 }
 
+// TestParityIndexLettersRoundTrip walks the whole k=16 alphabet: every
+// letter is a code point a string can carry (the surrogate block
+// U+D800–U+DFFF is skipped), so a word of any of them survives Word.String
+// and WordFromString, and LetterIndex inverts LetterAt. The alphabets of
+// k ≤ 15 keep their contiguous letters from U+2800.
+func TestParityIndexLettersRoundTrip(t *testing.T) {
+	l, err := NewParityIndex(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1<<16; i++ {
+		r := l.LetterAt(i)
+		if got := l.LetterIndex(r); got != i {
+			t.Fatalf("LetterIndex(LetterAt(%d) = %U) = %d", i, r, got)
+		}
+		w := Word{r}
+		if back := WordFromString(w.String()); !back.Equal(w) {
+			t.Fatalf("letter %d (%U) came back from a string as %U", i, r, []rune(back))
+		}
+	}
+	if err := l.Alphabet().ValidWord(Word{l.LetterAt(0), l.LetterAt(1<<16 - 1)}); err != nil {
+		t.Errorf("first and last letters rejected: %v", err)
+	}
+	for r := Letter(0xD800); r <= 0xDFFF; r++ {
+		if idx := l.LetterIndex(r); idx != -1 {
+			t.Fatalf("surrogate %U maps to letter %d", r, idx)
+		}
+	}
+	if err := l.Alphabet().ValidWord(Word{0xD800}); err == nil {
+		t.Error("the alphabet accepts a surrogate")
+	}
+	if l.LetterIndex(l.LetterAt(1<<16-1)+1) != -1 || l.LetterIndex(0x27FF) != -1 {
+		t.Error("letters just outside the alphabet map to an index")
+	}
+	for k := 1; k <= 15; k++ {
+		lk, err := NewParityIndex(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := 1<<k - 1
+		if got := lk.LetterAt(last); got != Letter(0x2800+last) {
+			t.Errorf("k=%d: last letter %U, want %U", k, got, 0x2800+last)
+		}
+		if lk.LetterIndex(lk.LetterAt(last)+1) != -1 {
+			t.Errorf("k=%d: the letter after the last maps to an index", k)
+		}
+	}
+}
+
 func TestParityIndexGenerators(t *testing.T) {
 	rng := newRng()
 	for _, k := range []int{1, 2, 4, 6} {

@@ -30,11 +30,29 @@ func NewParityIndex(k int) (*ParityIndex, error) {
 	size := 1 << uint(k)
 	letters := make([]Letter, size)
 	for i := 0; i < size; i++ {
-		// Use a contiguous private block of runes so letters stay 1:1 with
-		// indices regardless of k.
-		letters[i] = rune(0x2800 + i)
+		letters[i] = parityLetter(i)
 	}
 	return &ParityIndex{k: k, alphabet: NewAlphabet(letters...)}, nil
+}
+
+// The letters are numbered from parityBase, so they stay 1:1 with indices
+// regardless of k, and skip the UTF-16 surrogate block, whose code points no
+// string can carry (Go encodes each as U+FFFD). Only k = 16 reaches the
+// block: the alphabet of k ≤ 15 ends at U+A7FF.
+const (
+	parityBase     = 0x2800
+	surrogateFirst = 0xD800
+	surrogateCount = 0x800
+)
+
+// parityLetter returns σ_i: U+2800+i below the surrogates, and 0x800 further
+// on from there.
+func parityLetter(i int) Letter {
+	r := parityBase + i
+	if r >= surrogateFirst {
+		r += surrogateCount
+	}
+	return rune(r)
 }
 
 // Name implements Language.
@@ -51,9 +69,17 @@ func (l *ParityIndex) K() int { return l.k }
 // Modulus returns 2ᵏ − 1, the modulus applied to |w|.
 func (l *ParityIndex) Modulus() int { return 1<<uint(l.k) - 1 }
 
-// LetterIndex maps a letter to its index σ_i → i, or -1 if foreign.
+// LetterIndex maps a letter to its index σ_i → i, or -1 if foreign (a
+// surrogate included).
 func (l *ParityIndex) LetterIndex(letter Letter) int {
-	idx := int(letter) - 0x2800
+	r := int(letter)
+	switch {
+	case r >= surrogateFirst+surrogateCount:
+		r -= surrogateCount
+	case r >= surrogateFirst:
+		return -1
+	}
+	idx := r - parityBase
 	if idx < 0 || idx >= l.alphabet.Size() {
 		return -1
 	}
@@ -62,7 +88,7 @@ func (l *ParityIndex) LetterIndex(letter Letter) int {
 
 // LetterAt returns σ_i.
 func (l *ParityIndex) LetterAt(i int) Letter {
-	return rune(0x2800 + i)
+	return parityLetter(i)
 }
 
 // Contains implements Language.

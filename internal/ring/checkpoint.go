@@ -34,38 +34,6 @@ var ErrNotResumable = errors.New("ring: node does not support checkpoint resume"
 // the prefix's events.
 var ErrCheckpointMismatch = errors.New("ring: checkpoint does not match the run")
 
-// ScheduleIsPrefixStable reports whether the named schedule (canonical names
-// and aliases of ScheduleNames) delivers messages in an order that depends
-// only on the sequence of sends so far — never on the word, the seed, or
-// real-time interleaving. Only such schedules may capture and resume
-// checkpoints: two runs sharing a send prefix must share the delivery prefix,
-// or the saved state would not be the state the cold run reaches.
-//
-//   - "sequential" (global FIFO) and "round-robin" qualify: their next
-//     delivery is a pure function of the queued messages and an internal
-//     cursor.
-//   - "random" is reproducible per seed but the paper's memoization folds
-//     seeds together, and a seeded order is exactly the kind of hidden input
-//     a checkpoint must not bake in; it falls back to cold runs.
-//   - "adversarial" is deterministic but its newest-first hint stacks are
-//     deliberately hostile bookkeeping with stale-hint skipping; it is kept
-//     off the stable list rather than frozen into a compatibility contract.
-//   - "sharded" races real goroutines: the interleaving is timing-dependent,
-//     so no two runs are guaranteed to share a delivery prefix at all.
-func ScheduleIsPrefixStable(name string) bool {
-	switch CanonicalScheduleName(name) {
-	case "sequential", "round-robin":
-		return true
-	}
-	return false
-}
-
-// PrefixStableScheduleNames lists the canonical schedule names for which
-// ScheduleIsPrefixStable holds, in ScheduleNames order.
-func PrefixStableScheduleNames() []string {
-	return []string{"sequential", "round-robin"}
-}
-
 // PrefixResumable is implemented by Nodes whose per-run mutable state fits a
 // single integer, which is what lets a resume install n node states without
 // boxing one allocation per processor. The zero state must describe a
@@ -87,7 +55,27 @@ type PrefixResumable interface {
 // checkpointableScheduler is the internal capability checkpoint capture and
 // resume need from a Scheduler beyond Push/Next: exposing and restoring the
 // delivery cursor. The pending messages themselves are moved through the
-// public Push/Next interface. Only prefix-stable schedulers implement it.
+// public Push/Next interface.
+//
+// Implementing it is what makes a schedule prefix-stable (see
+// ScheduleIsPrefixStable): two runs sharing a send prefix must share the
+// delivery prefix, or the saved state would not be the state the cold run
+// reaches.
+//
+//   - Global FIFO ("sequential") and "round-robin" implement it: their next
+//     delivery is a pure function of the queued messages and an internal
+//     cursor.
+//   - "random" does not. It is reproducible per seed, but the paper's
+//     memoization folds seeds together, and a seeded order is exactly the
+//     kind of hidden input a checkpoint must not bake in; it falls back to
+//     cold runs.
+//   - "adversarial" does not. It is deterministic, but its newest-first hint
+//     stacks are deliberately hostile bookkeeping with stale-hint skipping;
+//     it is kept off the stable set rather than frozen into a compatibility
+//     contract.
+//   - "sharded" has no scheduler to implement it: its workers race real
+//     goroutines, so the interleaving is timing-dependent and no two runs are
+//     guaranteed to share a delivery prefix at all.
 type checkpointableScheduler interface {
 	Scheduler
 	// snapshotCursor returns the scheduler's delivery-order cursor.

@@ -63,7 +63,7 @@ func hopNodes(n int) []Node {
 func checkpointEngines() map[string]CheckpointEngine {
 	return map[string]CheckpointEngine{
 		"sequential":  NewSequentialEngine(),
-		"round-robin": NewRoundRobinEngine(),
+		"round-robin": engineNamed("round-robin", 0),
 	}
 }
 
@@ -190,7 +190,7 @@ func TestCheckpointRejectsMismatchedRuns(t *testing.T) {
 	if _, err := eng.RunCheckpointed(nil, cfg, hopNodes(n+1), CheckpointRun{Resume: cp}); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("ring-size mismatch: got %v, want ErrCheckpointMismatch", err)
 	}
-	if _, err := NewRoundRobinEngine().RunCheckpointed(nil, cfg, hopNodes(n), CheckpointRun{Resume: cp}); !errors.Is(err, ErrCheckpointMismatch) {
+	if _, err := engineNamed("round-robin", 0).RunCheckpointed(nil, cfg, hopNodes(n), CheckpointRun{Resume: cp}); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("schedule mismatch: got %v, want ErrCheckpointMismatch", err)
 	}
 	traceCfg := cfg
@@ -198,7 +198,7 @@ func TestCheckpointRejectsMismatchedRuns(t *testing.T) {
 	if _, err := eng.RunCheckpointed(nil, traceCfg, hopNodes(n), CheckpointRun{Resume: cp}); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Errorf("trace resume: got %v, want ErrCheckpointMismatch", err)
 	}
-	adv := NewAdversarialEngine(DefaultAdversarialBound)
+	adv := engineNamed("adversarial", 0)
 	if _, err := adv.RunCheckpointed(nil, cfg, hopNodes(n), CheckpointRun{Resume: cp}); !errors.Is(err, ErrNotPrefixStable) {
 		t.Errorf("adversarial resume: got %v, want ErrNotPrefixStable", err)
 	}
@@ -244,11 +244,6 @@ func TestScheduleIsPrefixStable(t *testing.T) {
 	for _, name := range append(ScheduleNames(), "fifo", "random-order", "bounded-delay") {
 		if got := ScheduleIsPrefixStable(name); got != stable[name] {
 			t.Errorf("ScheduleIsPrefixStable(%q) = %v, want %v", name, got, stable[name])
-		}
-	}
-	for _, name := range PrefixStableScheduleNames() {
-		if !ScheduleIsPrefixStable(name) {
-			t.Errorf("PrefixStableScheduleNames lists %q but ScheduleIsPrefixStable rejects it", name)
 		}
 	}
 }

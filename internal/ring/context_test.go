@@ -76,9 +76,9 @@ func TestLoopPreCanceledContext(t *testing.T) {
 	cancel()
 	for _, eng := range []Engine{
 		NewSequentialEngine(),
-		NewRandomOrderEngine(3),
-		NewRoundRobinEngine(),
-		NewAdversarialEngine(0),
+		engineNamed("random", 3),
+		engineNamed("round-robin", 0),
+		engineNamed("adversarial", 0),
 		NewShardedEngineWorkers(2),
 	} {
 		_, err := eng.Run(Config{RequireVerdict: true, Ctx: ctx}, tokenNodes(8))

@@ -314,6 +314,26 @@ func (l *linkQueues) pop(link int) Delivery {
 // empty reports whether the link's queue holds no message.
 func (l *linkQueues) empty(link int) bool { return l.head[link] < 0 }
 
+// rotate returns the first non-empty link at or after cursor, wrapping
+// around, and the cursor just past it: the fixed rotation the round-robin and
+// lossy schedules offer links in. Some link must be non-empty.
+func (l *linkQueues) rotate(cursor int) (link, next int) {
+	n := len(l.head)
+	for i := 0; i < n; i++ {
+		if link = cursor + i; link >= n {
+			link -= n
+		}
+		if !l.empty(link) {
+			if next = link + 1; next == n {
+				next = 0
+			}
+			return link, next
+		}
+	}
+	// Unreachable: pending > 0 implies some link is non-empty.
+	return 0, cursor
+}
+
 // peek returns the head payload of the link without dequeuing it. The link
 // must be non-empty.
 func (l *linkQueues) peek(link int) bits.String { return l.payload[l.head[link]] }

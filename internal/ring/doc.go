@@ -9,28 +9,35 @@
 // schedule is a pluggable axis rather than an engine property. A single
 // event loop (runLoop) owns contexts, dispatch validation, bit accounting,
 // trace recording, the start phase and termination; a Scheduler decides only
-// the delivery order, constrained to per-link FIFO. The engines are:
+// the delivery order, constrained to per-link FIFO. One table in
+// scheduler.go lists the built-in schedules (see ScheduleNames), each with
+// its aliases, whether it is seeded, and how to build its engine:
 //
-//   - Sequential: the loop under a global-FIFO scheduler. For unidirectional
+//   - sequential: the loop under a global-FIFO scheduler. For unidirectional
 //     leader-initiated algorithms this reproduces exactly the unique
 //     execution the paper describes and makes bit counts reproducible.
-//   - RandomOrder: the loop under a seeded random scheduler — delivers the
-//     head of a uniformly random non-empty link; used to check
+//   - random: the loop under a seeded random scheduler — delivers the head
+//     of a uniformly random non-empty link; used to check
 //     schedule-independence across many seeds.
-//   - RoundRobin: the loop cycling over links in a fixed rotation,
+//   - round-robin: the loop cycling over links in a fixed rotation,
 //     approximating synchronous rounds.
-//   - Adversarial: the loop under a bounded-delay adversary that prefers the
+//   - adversarial: the loop under a bounded-delay adversary that prefers the
 //     newest non-empty link (maximally anti-FIFO) with a fairness bound so
 //     every message still experiences only a finite delay.
-//   - Sharded: the ring split into contiguous segments, one worker goroutine
-//     per segment and at most one per core, each running its own FIFO loop;
-//     the interleaving is whatever the workers race to, while every reported
-//     quantity is an order-independent aggregate. Small rings and traced runs
-//     fall back to the serial loop.
+//   - sharded: not a scheduler but its own engine. The ring is split into
+//     contiguous segments, one worker goroutine per segment and at most one
+//     per core, each running its own FIFO loop; the interleaving is whatever
+//     the workers race to, while every reported quantity is an
+//     order-independent aggregate. Small rings and traced runs fall back to
+//     the serial loop.
+//   - lossy, duplicating, crash-restart, crash-repair: the fault axis, which
+//     varies delivery fate as well as order (see fault.go).
 //
+// What a schedule guarantees about delivery and whether it can checkpoint
+// are declared by its scheduler type alone; the table reads them off once.
 // New schedules need only implement Scheduler and wrap it with
-// NewScheduledEngine; NewEngineByName resolves the built-in names (see
-// ScheduleNames) for flags and facade options.
+// NewScheduledEngine; NewEngineByName resolves the built-in names for flags
+// and facade options, handing every seedless schedule one shared engine.
 //
 // Under the global-FIFO and seeded random schedulers the loop hands a lone
 // send straight to its receiver: when a delivery's Receive returns exactly

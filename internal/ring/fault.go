@@ -109,9 +109,31 @@ type FaultReport struct {
 // faultReporter is the unexported hook runLoop harvests fault accounting
 // through after the delivery loop completes.
 type faultReporter interface {
-	// takeFaultReport returns an independent snapshot of the run's fault
-	// accounting; safe to retain after the scheduler is reset or reused.
-	takeFaultReport() *FaultReport
+	// reportFaults copies the run's fault accounting into fr, which stays
+	// valid after the scheduler is reset or reused. A crashed processor is
+	// appended to crashed, room allocated together with fr.
+	reportFaults(fr *FaultReport, crashed []int)
+}
+
+// faultedResult is a Result allocated together with the fault report a
+// fault-injecting schedule attaches to it, and room for the one processor a
+// built-in crash schedule fails: a run under a fault schedule allocates one
+// object for its outcome, like a run under a reliable one.
+type faultedResult struct {
+	Result
+	faults  FaultReport
+	crashed [1]int
+}
+
+// reseeded returns rng restarted from seed, allocating the generator and
+// its 4.9 KB source only when rng is nil, on a scheduler's first run.
+// Re-seeding yields the same draws as a fresh generator.
+func reseeded(rng *rand.Rand, seed int64) *rand.Rand {
+	if rng == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	rng.Seed(seed)
+	return rng
 }
 
 // Defaults for the by-name fault schedules (see NewEngineByName). One in
@@ -131,7 +153,9 @@ const (
 // algorithm observes exactly-once per-link FIFO delivery and the run's
 // verdict and Stats match the reliable schedules exactly; only FaultReport
 // sees the drops. Offers cycle over the links round-robin, and the seeded
-// generator makes the whole fate sequence reproducible.
+// generator makes the whole fate sequence reproducible. A dropped frame that
+// was the only one pending is offered again at once: the rotation would
+// scan every link to come back to it.
 type lossyScheduler struct {
 	seed           int64
 	dropRate       float64
@@ -164,13 +188,10 @@ func (s *lossyScheduler) Name() string {
 
 func (s *lossyScheduler) DeliveryGuarantee() DeliveryGuarantee { return ExactlyOnce }
 
-func (s *lossyScheduler) takeFaultReport() *FaultReport {
-	fr := s.faults
-	return &fr
-}
+func (s *lossyScheduler) reportFaults(fr *FaultReport, _ []int) { *fr = s.faults }
 
 func (s *lossyScheduler) Reset(links int) {
-	s.rng = rand.New(rand.NewSource(s.seed))
+	s.rng = reseeded(s.rng, s.seed)
 	s.links.reset(links)
 	s.cursor = 0
 	if cap(s.dropsAt) >= links {
@@ -188,44 +209,26 @@ func (s *lossyScheduler) Push(link int, d Delivery) { s.links.push(link, d) }
 
 // Next offers the next non-empty link in rotation and rolls the drop fate of
 // its head frame. Termination: pending is fixed within one call and each
-// iteration either delivers or increments a per-frame drop counter that is
+// offer either delivers or increments a per-frame drop counter that is
 // capped, so the loop always delivers while messages pend.
 //
 //ring:deterministic
 func (s *lossyScheduler) Next() (Delivery, bool) {
-	for s.links.pending > 0 {
-		link := s.nextNonEmpty()
-		if int(s.dropsAt[link]) < s.maxRetransmits && s.rng.Float64() < s.dropRate {
-			s.dropsAt[link]++
-			s.faults.Dropped++
-			s.faults.RetransmitBits += s.links.peek(link).Len()
-			continue
-		}
-		s.dropsAt[link] = 0
-		return s.links.pop(link), true
+	if s.links.pending == 0 {
+		return Delivery{}, false
 	}
-	return Delivery{}, false
-}
-
-// nextNonEmpty advances the round-robin cursor to the next non-empty link.
-// Callers must ensure pending > 0.
-func (s *lossyScheduler) nextNonEmpty() int {
-	n := len(s.links.head)
-	for i := 0; i < n; i++ {
-		link := s.cursor + i
-		if link >= n {
-			link -= n
-		}
-		if !s.links.empty(link) {
-			s.cursor = link + 1
-			if s.cursor == n {
-				s.cursor = 0
-			}
-			return link
+	var link int
+	link, s.cursor = s.links.rotate(s.cursor)
+	for int(s.dropsAt[link]) < s.maxRetransmits && s.rng.Float64() < s.dropRate {
+		s.dropsAt[link]++
+		s.faults.Dropped++
+		s.faults.RetransmitBits += s.links.peek(link).Len()
+		if s.links.pending > 1 {
+			link, s.cursor = s.links.rotate(s.cursor)
 		}
 	}
-	// Unreachable: pending > 0 implies some link is non-empty.
-	return 0
+	s.dropsAt[link] = 0
+	return s.links.pop(link), true
 }
 
 // duplicatingScheduler delivers every message at least once: with
@@ -266,13 +269,10 @@ func (s *duplicatingScheduler) Name() string {
 
 func (s *duplicatingScheduler) DeliveryGuarantee() DeliveryGuarantee { return AtLeastOnce }
 
-func (s *duplicatingScheduler) takeFaultReport() *FaultReport {
-	fr := s.faults
-	return &fr
-}
+func (s *duplicatingScheduler) reportFaults(fr *FaultReport, _ []int) { *fr = s.faults }
 
 func (s *duplicatingScheduler) Reset(links int) {
-	s.rng = rand.New(rand.NewSource(s.seed))
+	s.rng = reseeded(s.rng, s.seed)
 	s.links.reset(links)
 	s.cursor = 0
 	// Release stale duplicate payloads so retained capacity never pins a
@@ -357,6 +357,7 @@ type crashScheduler struct {
 	mode crashMode
 	seed int64
 
+	rng    *rand.Rand
 	links  linkQueues
 	cursor int
 	n      int
@@ -395,13 +396,12 @@ func (s *crashScheduler) DeliveryGuarantee() DeliveryGuarantee {
 	return ExactlyOnce
 }
 
-func (s *crashScheduler) takeFaultReport() *FaultReport {
-	fr := s.faults
-	if s.faults.Crashed != nil {
-		//ringvet:ignore allocflow -- result snapshot, once per completed run after the delivery loop
-		fr.Crashed = append([]int(nil), s.faults.Crashed...)
+func (s *crashScheduler) reportFaults(fr *FaultReport, crashed []int) {
+	*fr = s.faults
+	if s.crashed {
+		//ring:prealloc -- crashed has room for the one processor a run crashes
+		fr.Crashed = append(crashed, s.crashProc)
 	}
-	return &fr
 }
 
 func (s *crashScheduler) Reset(links int) {
@@ -414,14 +414,14 @@ func (s *crashScheduler) Reset(links int) {
 	// All randomness is drawn here: the victim (never the leader at index 0,
 	// who holds the verdict), the crash point within the first two ring
 	// tours, and the outage length of the restart variant.
-	rng := rand.New(rand.NewSource(s.seed))
+	s.rng = reseeded(s.rng, s.seed)
 	if s.n < 2 {
 		s.crashProc = -1
 		return
 	}
-	s.crashProc = 1 + rng.Intn(s.n-1)
-	s.crashAt = 1 + rng.Intn(2*s.n)
-	s.downUntil = s.crashAt + s.n + rng.Intn(2*s.n)
+	s.crashProc = 1 + s.rng.Intn(s.n-1)
+	s.crashAt = 1 + s.rng.Intn(2*s.n)
+	s.downUntil = s.crashAt + s.n + s.rng.Intn(2*s.n)
 }
 
 func (s *crashScheduler) Push(link int, d Delivery) { s.links.push(link, d) }
@@ -439,8 +439,6 @@ func (s *crashScheduler) Next() (Delivery, bool) {
 	}
 	if !s.crashed && s.crashProc >= 0 && s.delivered >= s.crashAt {
 		s.crashed = true
-		//ringvet:ignore allocflow -- the crash fires once per run; one single-element append
-		s.faults.Crashed = append(s.faults.Crashed, s.crashProc)
 	}
 	for {
 		n := len(s.links.head)
@@ -490,32 +488,4 @@ func (s *crashScheduler) advanceCursor(link int) {
 	if s.cursor == len(s.links.head) {
 		s.cursor = 0
 	}
-}
-
-// NewLossyEngine returns an engine running the lossy schedule (see
-// NewLossyScheduler for the parameter fallbacks).
-func NewLossyEngine(seed int64, dropRate float64, maxRetransmits int) *ScheduledEngine {
-	factory := func() Scheduler { return NewLossyScheduler(seed, dropRate, maxRetransmits) }
-	return NewScheduledEngine(factory().Name(), factory)
-}
-
-// NewDuplicatingEngine returns an engine running the at-least-once schedule
-// (see NewDuplicatingScheduler for the rate fallback).
-func NewDuplicatingEngine(seed int64, dupRate float64) *ScheduledEngine {
-	factory := func() Scheduler { return NewDuplicatingScheduler(seed, dupRate) }
-	return NewScheduledEngine(factory().Name(), factory)
-}
-
-// NewCrashRepairEngine returns an engine running the fail-stop-and-splice
-// schedule.
-func NewCrashRepairEngine(seed int64) *ScheduledEngine {
-	factory := func() Scheduler { return NewCrashRepairScheduler(seed) }
-	return NewScheduledEngine(factory().Name(), factory)
-}
-
-// NewCrashRestartEngine returns an engine running the crash-and-restart
-// schedule.
-func NewCrashRestartEngine(seed int64) *ScheduledEngine {
-	factory := func() Scheduler { return NewCrashRestartScheduler(seed) }
-	return NewScheduledEngine(factory().Name(), factory)
 }

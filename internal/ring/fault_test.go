@@ -6,6 +6,14 @@ import (
 	"ringlang/internal/bits"
 )
 
+// faultsOf reads a fault scheduler's report the way runLoop does.
+func faultsOf(s faultReporter) FaultReport {
+	var fr FaultReport
+	var crashed [1]int
+	s.reportFaults(&fr, crashed[:0])
+	return fr
+}
+
 // drain pops every pending delivery of a scheduler.
 func drain(s Scheduler) []Delivery {
 	var out []Delivery
@@ -47,7 +55,7 @@ func TestLossyDeliversEverythingInLinkOrder(t *testing.T) {
 			}
 		}
 	}
-	fr := s.(*lossyScheduler).takeFaultReport()
+	fr := faultsOf(s.(*lossyScheduler))
 	if fr.Dropped == 0 {
 		t.Error("drop rate 0.5 over 6 messages dropped nothing; the fate roll is not wired")
 	}
@@ -69,7 +77,7 @@ func TestLossyDeterministicPerSeed(t *testing.T) {
 		for _, d := range drain(s) {
 			tags = append(tags, tagOf(d))
 		}
-		return tags, *s.(*lossyScheduler).takeFaultReport()
+		return tags, faultsOf(s.(*lossyScheduler))
 	}
 	aTags, aFaults := run(3)
 	bTags, bFaults := run(3)
@@ -127,7 +135,7 @@ func TestDuplicatingRedeliversAdjacentAndClones(t *testing.T) {
 	if _, ok := s.Next(); ok {
 		t.Error("a duplicate was itself duplicated; at-least-once must stay bounded")
 	}
-	fr := s.(*duplicatingScheduler).takeFaultReport()
+	fr := faultsOf(s.(*duplicatingScheduler))
 	if fr.Duplicates != 1 || fr.DuplicateBits != 8 {
 		t.Errorf("fault report = %+v, want 1 duplicate of 8 bits", fr)
 	}
@@ -194,7 +202,7 @@ func TestCrashRepairReroutesPastTheCrash(t *testing.T) {
 	if want := (c + 1) % n; d.To != want || d.From != Backward {
 		t.Errorf("rerouted to processor %d from %v, want %d from Backward", d.To, d.From, want)
 	}
-	fr := sched.takeFaultReport()
+	fr := faultsOf(sched)
 	if len(fr.Crashed) != 1 || fr.Crashed[0] != c || fr.Rerouted != 1 {
 		t.Errorf("fault report = %+v, want crashed=[%d] rerouted=1", fr, c)
 	}
@@ -233,7 +241,7 @@ func TestCrashRestartDefersButDeliversEverything(t *testing.T) {
 	if len(toCrashed) != 2 || toCrashed[0] != 101 || toCrashed[1] != 102 {
 		t.Errorf("crashed processor received %v, want [101 102] in order (buffered replay)", toCrashed)
 	}
-	fr := sched.takeFaultReport()
+	fr := faultsOf(sched)
 	if len(fr.Crashed) != 1 || fr.Crashed[0] != c {
 		t.Errorf("fault report = %+v, want crashed=[%d]", fr, c)
 	}
@@ -248,12 +256,12 @@ func TestFaultEngineGuaranteesAndReports(t *testing.T) {
 		want   DeliveryGuarantee
 	}{
 		{NewSequentialEngine(), ExactlyOnce},
-		{NewRandomOrderEngine(1), ExactlyOnce},
-		{NewRoundRobinEngine(), ExactlyOnce},
-		{NewLossyEngine(1, 0, 0), ExactlyOnce},
-		{NewCrashRestartEngine(1), ExactlyOnce},
-		{NewDuplicatingEngine(1, 0), AtLeastOnce},
-		{NewCrashRepairEngine(1), CrashProne},
+		{engineNamed("random", 1), ExactlyOnce},
+		{engineNamed("round-robin", 0), ExactlyOnce},
+		{engineNamed("lossy", 1), ExactlyOnce},
+		{engineNamed("crash-restart", 1), ExactlyOnce},
+		{engineNamed("duplicating", 1), AtLeastOnce},
+		{engineNamed("crash-repair", 1), CrashProne},
 	}
 	for _, tc := range cases {
 		if got := EngineDeliveryGuarantee(tc.engine); got != tc.want {
@@ -269,7 +277,7 @@ func TestFaultEngineGuaranteesAndReports(t *testing.T) {
 	if seqRes.Faults != nil {
 		t.Errorf("sequential run carries a fault report: %+v", seqRes.Faults)
 	}
-	lossyRes, err := NewLossyEngine(3, 0.5, 3).Run(Config{Mode: Unidirectional}, tokenNodes(12))
+	lossyRes, err := engineOf(func() Scheduler { return NewLossyScheduler(3, 0.5, 3) }).Run(Config{Mode: Unidirectional}, tokenNodes(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +306,7 @@ func TestDedupAbsorbsDuplicatingDelivery(t *testing.T) {
 	}
 	duplicates := 0
 	for seed := int64(1); seed <= 5; seed++ {
-		res, err := NewDuplicatingEngine(seed, 0.25).Run(Config{Mode: Unidirectional}, WithDedupAll(tokenNodes(16)))
+		res, err := engineOf(func() Scheduler { return NewDuplicatingScheduler(seed, 0.25) }).Run(Config{Mode: Unidirectional}, WithDedupAll(tokenNodes(16)))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

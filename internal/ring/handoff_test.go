@@ -39,6 +39,15 @@ type handoffPair struct {
 	queueState   *ring.RunState
 }
 
+// randomEngine resolves the seeded random schedule by name.
+func randomEngine(seed int64) ring.StatefulEngine {
+	e, err := ring.NewEngineByName("random", seed)
+	if err != nil {
+		panic(err)
+	}
+	return e.(ring.StatefulEngine)
+}
+
 func handoffPairs() []*handoffPair {
 	pairs := []*handoffPair{{
 		name:    "sequential",
@@ -50,7 +59,7 @@ func handoffPairs() []*handoffPair {
 	for seed := int64(1); seed <= handoffSeeds; seed++ {
 		pairs = append(pairs, &handoffPair{
 			name:    fmt.Sprintf("random(seed=%d)", seed),
-			handoff: ring.NewRandomOrderEngine(seed),
+			handoff: randomEngine(seed),
 			queue: ring.NewScheduledEngine("queue-path random", func() ring.Scheduler {
 				return ring.QueuePath(ring.NewRandomScheduler(seed))
 			}),

@@ -292,19 +292,22 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 	if cfg.RequireVerdict && lp.verdict == VerdictNone {
 		return nil, ErrNoVerdict
 	}
-	res := &Result{Verdict: lp.verdict, Stats: &lp.stats, Trace: lp.trace}
 	if fr, ok := sched.(faultReporter); ok {
-		// Fault-injecting schedules attach their accounting; the snapshot is
-		// independent of the scheduler, which the next run resets.
-		//ringvet:ignore hotpathalloc -- once per completed run, after the delivery loop; reliable schedules skip it entirely
-		res.Faults = fr.takeFaultReport()
+		// Fault-injecting schedules attach their accounting, copied out of
+		// the scheduler (which the next run resets) into the same allocation
+		// as the Result.
+		out := &faultedResult{Result: Result{Verdict: lp.verdict, Stats: &lp.stats, Trace: lp.trace}}
+		fr.reportFaults(&out.faults, out.crashed[:0])
+		out.Faults = &out.faults
+		return &out.Result, nil
 	}
-	return res, nil
+	return &Result{Verdict: lp.verdict, Stats: &lp.stats, Trace: lp.trace}, nil
 }
 
 // ScheduledEngine drives the shared event loop with a fresh scheduler per
-// run, so one engine value stays reusable (and as goroutine-safe as the seed
-// engines) no matter how much state its schedule keeps.
+// run, so one engine value stays reusable (and goroutine-safe) no matter how
+// much state its schedule keeps. Every built-in schedule but "sharded" is a
+// ScheduledEngine (see NewEngineByName).
 type ScheduledEngine struct {
 	name      string
 	factory   func() Scheduler
@@ -312,11 +315,12 @@ type ScheduledEngine struct {
 }
 
 // NewScheduledEngine wraps a scheduler factory as an Engine. This is the
-// extension point for schedules the built-in names do not cover: implement
-// Scheduler, wrap it here, and every recognizer, experiment and test can run
-// under it — no fourth engine copy required. The engine inherits the
-// scheduler's delivery guarantee (probed from one factory call); schedulers
-// that declare none uphold the exactly-once model.
+// extension point for schedules the built-in names do not cover, and for
+// built-in schedulers at a non-default rate or bound: implement (or
+// construct) a Scheduler, wrap it here, and every recognizer, experiment and
+// test can run under it. The engine inherits the scheduler's delivery
+// guarantee (probed from one factory call); schedulers that declare none
+// uphold the exactly-once model.
 func NewScheduledEngine(name string, factory func() Scheduler) *ScheduledEngine {
 	e := &ScheduledEngine{name: name, factory: factory}
 	if g, ok := factory().(DeliveryGuaranteed); ok {
@@ -360,20 +364,4 @@ func (e *ScheduledEngine) RunCheckpointed(st *RunState, cfg Config, nodes []Node
 		st = &RunState{}
 	}
 	return runLoopFrom(cfg, nodes, st.scheduler(e, e.factory), st, run)
-}
-
-// NewRoundRobinEngine returns an engine delivering round-robin by link.
-func NewRoundRobinEngine() *ScheduledEngine {
-	return NewScheduledEngine("round-robin", NewRoundRobinScheduler)
-}
-
-// NewAdversarialEngine returns an engine running the bounded-delay adversary
-// (see adversarialScheduler). Bounds below 1 fall back to
-// DefaultAdversarialBound.
-func NewAdversarialEngine(bound int) *ScheduledEngine {
-	if bound < 1 {
-		bound = DefaultAdversarialBound
-	}
-	return NewScheduledEngine(fmt.Sprintf("adversarial(bound=%d)", bound),
-		func() Scheduler { return NewAdversarialScheduler(bound) })
 }

@@ -259,15 +259,15 @@ func BenchmarkEngine(b *testing.B) {
 				})
 			}
 			b.Run("random"+suffix, func(b *testing.B) {
-				eng := NewRandomOrderEngine(11)
+				eng := engineNamed("random", 11)
 				benchRun(b, func() (*Result, error) { return eng.Run(cfg, nodes) })
 			})
 			b.Run("round-robin"+suffix, func(b *testing.B) {
-				eng := NewRoundRobinEngine()
+				eng := engineNamed("round-robin", 0)
 				benchRun(b, func() (*Result, error) { return eng.Run(cfg, nodes) })
 			})
 			b.Run("adversarial"+suffix, func(b *testing.B) {
-				eng := NewAdversarialEngine(DefaultAdversarialBound)
+				eng := engineNamed("adversarial", 0)
 				benchRun(b, func() (*Result, error) { return eng.Run(cfg, nodes) })
 			})
 		}
@@ -303,8 +303,13 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 		})
 	}
 	b.Run("random/n=4096", func(b *testing.B) {
-		run(b, NewRandomOrderEngine(11), tokenNodes(4096))
+		run(b, engineNamed("random", 11), tokenNodes(4096))
 	})
+	for _, name := range []string{"lossy", "crash-restart"} {
+		b.Run(name+"/n=4096", func(b *testing.B) {
+			run(b, engineNamed(name, 1), tokenNodes(4096))
+		})
+	}
 }
 
 // Recorded allocation floors for the engine loop on the n=4096 one-bit token
@@ -346,7 +351,7 @@ func TestEngineLoopAllocRegressionGuard(t *testing.T) {
 	}{
 		{"no-ctx", NewSequentialEngine(), Config{RequireVerdict: true}, allocCeilingFullRunN4096},
 		{"ctx", NewSequentialEngine(), Config{RequireVerdict: true, Ctx: ctx}, allocCeilingFullRunN4096},
-		{"random", NewRandomOrderEngine(7), Config{RequireVerdict: true}, allocCeilingRandomFullRunN4096},
+		{"random", engineNamed("random", 7), Config{RequireVerdict: true}, allocCeilingRandomFullRunN4096},
 	} {
 		st := NewRunState()
 		if _, err := tc.eng.RunWith(st, tc.cfg, nodes); err != nil {
@@ -376,6 +381,50 @@ func TestEngineLoopAllocRegressionGuard(t *testing.T) {
 	}
 }
 
+// allocCeilingFaultSteadyStateN4096 is the steady-state floor of the lossy
+// and crash-restart schedules on the n=4096 token ring: the Result, which
+// carries the fault report in the same allocation. They measured 4 (lossy:
+// also a generator and its source, built by every Reset, and a separate
+// report) and 3 (crash-restart, whose generator was a local) until each
+// scheduler kept one generator and re-seeded it; a crash that fired added
+// two more (its report entry and the report's copy of it).
+const allocCeilingFaultSteadyStateN4096 = 1
+
+// TestFaultScheduleAllocRegressionGuard holds the fault schedules whose
+// faults the link layer absorbs to the reliable schedules' steady-state
+// floor. Two seeds per schedule: under seed 1 the crash-restart victim never
+// crashes within one token tour, under seed 2 it does.
+func TestFaultScheduleAllocRegressionGuard(t *testing.T) {
+	n := 4096
+	nodes := tokenNodes(n)
+	cfg := Config{RequireVerdict: true}
+	dropped, crashed := 0, 0
+	for _, name := range []string{"lossy", "crash-restart"} {
+		for _, seed := range []int64{1, 2} {
+			eng := engineNamed(name, seed)
+			st := NewRunState()
+			res, err := eng.RunWith(st, cfg, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dropped += res.Faults.Dropped
+			crashed += len(res.Faults.Crashed)
+			steady := testing.AllocsPerRun(10, func() {
+				if _, err := eng.RunWith(st, cfg, nodes); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s allocs/run at n=%d: steady-state=%.0f (ceiling %d)", eng.Name(), n, steady, allocCeilingFaultSteadyStateN4096)
+			if steady > allocCeilingFaultSteadyStateN4096 {
+				t.Errorf("%s: steady-state run allocates %.0f/run, recorded ceiling is %d", eng.Name(), steady, allocCeilingFaultSteadyStateN4096)
+			}
+		}
+	}
+	if dropped == 0 || crashed == 0 {
+		t.Errorf("the guard ran %d drops and %d crashes; it must cover both fault paths", dropped, crashed)
+	}
+}
+
 // TestLoopAllocatesLessThanSeedLoop pins the point of the deque refactor: at
 // n=4096 the shared loop must allocate strictly less than the seed
 // `queue[1:]` implementation it replaced.
@@ -398,7 +447,8 @@ func TestLoopAllocatesLessThanSeedLoop(t *testing.T) {
 	t.Logf("allocs/run at n=%d: seed=%.0f loop=%.0f", n, seedAllocs, loopAllocs)
 
 	seedRandom := run(func() (*Result, error) { return seedRandomOrderRun(cfg, nodes, 5) })
-	loopRandom := run(func() (*Result, error) { return NewRandomOrderEngine(5).Run(cfg, nodes) })
+	random := engineNamed("random", 5)
+	loopRandom := run(func() (*Result, error) { return random.Run(cfg, nodes) })
 	if loopRandom >= seedRandom {
 		t.Errorf("random scheduler allocates %.0f/run, seed map version %.0f/run", loopRandom, seedRandom)
 	}

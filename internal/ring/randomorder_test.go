@@ -7,7 +7,7 @@ import (
 
 func TestRandomOrderEngineTokenRing(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		eng := NewRandomOrderEngine(seed)
+		eng := engineNamed("random", seed)
 		res, err := eng.Run(Config{RequireVerdict: true}, tokenNodes(12))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -25,7 +25,7 @@ func TestRandomOrderEngineBidirectional(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = &bounceNode{leader: i == LeaderIndex}
 		}
-		res, err := NewRandomOrderEngine(seed).Run(Config{Mode: Bidirectional, RequireVerdict: true}, nodes)
+		res, err := engineNamed("random", seed).Run(Config{Mode: Bidirectional, RequireVerdict: true}, nodes)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -40,7 +40,7 @@ func TestRandomOrderEngineQuiescenceAndGuards(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = &floodOnceNode{}
 	}
-	res, err := NewRandomOrderEngine(3).Run(Config{Initiators: AllProcessors}, nodes)
+	res, err := engineNamed("random", 3).Run(Config{Initiators: AllProcessors}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,13 @@ func TestRandomOrderEngineQuiescenceAndGuards(t *testing.T) {
 	for i := range loopNodes {
 		loopNodes[i] = &loopForeverNode{leader: i == LeaderIndex}
 	}
-	if _, err := NewRandomOrderEngine(3).Run(Config{MaxMessages: 50}, loopNodes); !errors.Is(err, ErrMessageBudgetExceeded) {
+	if _, err := engineNamed("random", 3).Run(Config{MaxMessages: 50}, loopNodes); !errors.Is(err, ErrMessageBudgetExceeded) {
 		t.Errorf("err = %v, want ErrMessageBudgetExceeded", err)
 	}
-	if _, err := NewRandomOrderEngine(3).Run(Config{}, nil); !errors.Is(err, ErrNoProcessors) {
+	if _, err := engineNamed("random", 3).Run(Config{}, nil); !errors.Is(err, ErrNoProcessors) {
 		t.Errorf("err = %v, want ErrNoProcessors", err)
 	}
-	if eng := NewRandomOrderEngine(7); eng.Name() == "" {
+	if eng := engineNamed("random", 7); eng.Name() == "" {
 		t.Error("Name should be non-empty")
 	}
 }
@@ -77,7 +77,7 @@ func TestRandomOrderMatchesSequentialAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		random, err := NewRandomOrderEngine(int64(n)).Run(Config{RequireVerdict: true}, nodes2)
+		random, err := engineNamed("random", int64(n)).Run(Config{RequireVerdict: true}, nodes2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,6 +31,21 @@ func (t *tokenNode) Receive(ctx *Context, from Direction, payload bits.String) (
 	return ctx.Reply(Forward, payload), nil
 }
 
+// engineNamed resolves a scheduler-backed catalog schedule by name, the way
+// every caller outside the package does.
+func engineNamed(name string, seed int64) *ScheduledEngine {
+	e, err := NewEngineByName(name, seed)
+	if err != nil {
+		panic(err)
+	}
+	return e.(*ScheduledEngine)
+}
+
+// engineOf runs a scheduler built at a non-default rate or bound.
+func engineOf(build func() Scheduler) *ScheduledEngine {
+	return NewScheduledEngine(build().Name(), build)
+}
+
 func tokenNodes(n int) []Node {
 	nodes := make([]Node, n)
 	for i := range nodes {

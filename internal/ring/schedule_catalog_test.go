@@ -2,6 +2,7 @@ package ring
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -78,16 +79,14 @@ func TestScheduleCatalogClassification(t *testing.T) {
 			t.Errorf("row %q folds to %q, which is not in ScheduleNames", tc.name, tc.canonical)
 		}
 	}
-	for _, name := range PrefixStableScheduleNames() {
-		if !ScheduleIsPrefixStable(name) {
-			t.Errorf("PrefixStableScheduleNames lists %q but ScheduleIsPrefixStable rejects it", name)
-		}
-	}
 }
 
 // Every catalog name and alias must resolve to an engine, and the engine's
 // delivery guarantee must match the name classifier — the facade trusts the
-// name, core.Run trusts the engine, and they must never disagree.
+// name, core.Run trusts the engine, and they must never disagree. A seedless
+// name resolves to one shared engine, so a RunState keyed by engine keeps
+// its scheduler across callers that resolve the name per run; a seeded name
+// builds an engine whose scheduler carries the seed.
 func TestScheduleCatalogResolution(t *testing.T) {
 	names := ScheduleNames()
 	names = append(names, "fifo", "random-order", "bounded-delay",
@@ -101,17 +100,23 @@ func TestScheduleCatalogResolution(t *testing.T) {
 		if got, want := EngineDeliveryGuarantee(engine), ScheduleDeliveryGuarantee(name); got != want {
 			t.Errorf("%q: engine %s guarantees %v, name classifies as %v", name, engine.Name(), got, want)
 		}
-		switch CanonicalScheduleName(name) {
-		case "sharded":
-			// A dedicated engine type, not scheduler-backed.
-			if _, err := NewSchedulerByName(name, 7); err == nil {
-				t.Errorf("NewSchedulerByName(%q) resolved; %q has no scheduler", name, name)
-			}
-		default:
-			if _, err := NewSchedulerByName(name, 7); err != nil {
-				t.Errorf("NewSchedulerByName(%q): %v", name, err)
-			}
+		again, err := NewEngineByName(name, 8)
+		if err != nil {
+			t.Fatalf("NewEngineByName(%q) again: %v", name, err)
 		}
+		if ScheduleUsesSeed(name) {
+			if !strings.Contains(engine.Name(), "seed=7") || !strings.Contains(again.Name(), "seed=8") {
+				t.Errorf("%q: engines %q and %q do not carry seeds 7 and 8", name, engine.Name(), again.Name())
+			}
+		} else if again != engine {
+			t.Errorf("%q: two resolutions built two engines (%s, %s), want one shared engine", name, engine.Name(), again.Name())
+		}
+	}
+	if NewSequentialEngine() != NewSequentialEngine() {
+		t.Error("NewSequentialEngine returned two engines, want one shared engine")
+	}
+	if e, _ := NewEngineByName("sequential", 0); e != Engine(NewSequentialEngine()) {
+		t.Errorf("NewEngineByName(sequential) = %s, not NewSequentialEngine's engine", e.Name())
 	}
 	// "concurrent" named the deleted goroutine-per-processor engine; no alias
 	// keeps it alive.
@@ -119,8 +124,5 @@ func TestScheduleCatalogResolution(t *testing.T) {
 		if _, err := NewEngineByName(name, 0); !errors.Is(err, ErrUnknownSchedule) {
 			t.Errorf("NewEngineByName(%q) = %v, want ErrUnknownSchedule", name, err)
 		}
-	}
-	if _, err := NewSchedulerByName("bogus", 0); !errors.Is(err, ErrUnknownSchedule) {
-		t.Errorf("NewSchedulerByName(bogus) = %v, want ErrUnknownSchedule", err)
 	}
 }

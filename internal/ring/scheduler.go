@@ -4,13 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
 // ErrUnknownSchedule is returned when a schedule name is not one of
-// ScheduleNames (or their aliases). It wraps the detailed lookup errors of
-// NewSchedulerByName and NewEngineByName, so callers classify failures with
-// errors.Is instead of string matching.
+// ScheduleNames (or their aliases). NewEngineByName's detailed lookup error
+// wraps it, so callers classify failures with errors.Is instead of string
+// matching.
 var ErrUnknownSchedule = errors.New("ring: unknown schedule")
 
 // Scheduler chooses the order in which pending messages are delivered by the
@@ -36,7 +37,7 @@ type Scheduler interface {
 }
 
 // fifoScheduler delivers messages in global first-in-first-out order — the
-// schedule the seed SequentialEngine hardcoded. One shared queue suffices:
+// "sequential" schedule. One shared queue suffices:
 // global FIFO trivially preserves per-link FIFO. The queue is the
 // struct-of-arrays fifoQueue, so the default engine's in-flight messages
 // live in one flat arena.
@@ -157,11 +158,7 @@ func (s *randomScheduler) Next() (Delivery, bool) {
 //
 //ring:coldpath -- once per run, at its first real choice; the generator itself is allocated once per scheduler
 func (s *randomScheduler) reseed() {
-	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(s.seed))
-	} else {
-		s.rng.Seed(s.seed)
-	}
+	s.rng = reseeded(s.rng, s.seed)
 	s.seeded = true
 }
 
@@ -190,22 +187,9 @@ func (s *roundRobinScheduler) Next() (Delivery, bool) {
 	if s.links.pending == 0 {
 		return Delivery{}, false
 	}
-	n := len(s.links.head)
-	for i := 0; i < n; i++ {
-		link := s.cursor + i
-		if link >= n {
-			link -= n
-		}
-		if !s.links.empty(link) {
-			s.cursor = link + 1
-			if s.cursor == n {
-				s.cursor = 0
-			}
-			return s.links.pop(link), true
-		}
-	}
-	// Unreachable: pending > 0 implies some link is non-empty.
-	return Delivery{}, false
+	var link int
+	link, s.cursor = s.links.rotate(s.cursor)
+	return s.links.pop(link), true
 }
 
 // DefaultAdversarialBound is the fairness bound used when an adversarial
@@ -314,18 +298,106 @@ func (s *adversarialScheduler) popOldest() int {
 	}
 }
 
-// ScheduleNames lists the schedule names accepted by NewEngineByName (and
-// hence by every -schedule flag and the facade's WithSchedule option).
-// "sharded" is special: it names the segment-sharded engine rather than a
-// scheduler-backed one, so NewSchedulerByName accepts every name but it.
-// The tail of the list is the fault axis — schedules that vary delivery
-// fate, not just delivery order (see fault.go); use
-// ScheduleDeliveryGuarantee to classify what each one still promises.
-func ScheduleNames() []string {
-	return []string{
-		"sequential", "random", "round-robin", "adversarial", "sharded",
-		"lossy", "duplicating", "crash-restart", "crash-repair",
+// scheduleRow is one canonical schedule of the catalog. A row states only
+// what no scheduler type can: its name, the aliases that fold onto it,
+// whether its execution depends on the seed, and how to build its engine.
+// What delivery the schedule guarantees and whether it can checkpoint are
+// read off the engine the row builds, once, when the table is initialised
+// (see newScheduleTable), so the scheduler types are the only place those
+// facts are declared.
+type scheduleRow struct {
+	name    string
+	aliases []string
+	seeded  bool
+	engine  func(seed int64) Engine
+
+	guarantee    DeliveryGuarantee
+	prefixStable bool
+	// shared is the one engine of a seedless row, handed to every caller.
+	// Engines are immutable, and a RunState keys its cached scheduler by the
+	// engine that built it, so callers resolving a name per run still reuse
+	// one scheduler.
+	shared Engine
+}
+
+// schedules is the catalog in ScheduleNames order: the delivery-order axis,
+// then the fault axis (schedules that vary delivery fate, see fault.go).
+var schedules = newScheduleTable([]scheduleRow{
+	{name: "sequential", aliases: []string{"fifo"}, engine: func(int64) Engine { return sequential }},
+	{name: "random", aliases: []string{"random-order"}, seeded: true, engine: scheduled(NewRandomScheduler)},
+	{name: "round-robin", engine: scheduled(func(int64) Scheduler { return NewRoundRobinScheduler() })},
+	{name: "adversarial", aliases: []string{"bounded-delay"}, engine: scheduled(func(int64) Scheduler {
+		return NewAdversarialScheduler(DefaultAdversarialBound)
+	})},
+	// The segment-sharded engine is not scheduler-backed: its workers race,
+	// so it keeps exactly-once delivery but no order a checkpoint could
+	// replay.
+	{name: "sharded", engine: func(int64) Engine { return NewShardedEngine() }},
+	{name: "lossy", aliases: []string{"drop"}, seeded: true, engine: scheduled(func(seed int64) Scheduler {
+		return NewLossyScheduler(seed, DefaultDropRate, DefaultMaxRetransmits)
+	})},
+	{name: "duplicating", aliases: []string{"at-least-once"}, seeded: true, engine: scheduled(func(seed int64) Scheduler {
+		return NewDuplicatingScheduler(seed, DefaultDuplicateRate)
+	})},
+	{name: "crash-restart", aliases: []string{"self-stabilizing"}, seeded: true, engine: scheduled(NewCrashRestartScheduler)},
+	{name: "crash-repair", aliases: []string{"crash"}, seeded: true, engine: scheduled(NewCrashRepairScheduler)},
+})
+
+// sequential is the engine of the "sequential" row: the shared event loop
+// under global FIFO. For the paper's unidirectional leader-initiated
+// algorithms that is exactly the unique execution described in Section 2.
+var sequential = NewScheduledEngine("sequential", NewFIFOScheduler)
+
+// scheduled builds the engines of a scheduler-backed row: the shared event
+// loop under a fresh scheduler per run, labelled with the scheduler's name.
+func scheduled(build func(seed int64) Scheduler) func(int64) Engine {
+	return func(seed int64) Engine {
+		factory := func() Scheduler { return build(seed) }
+		return NewScheduledEngine(factory().Name(), factory)
 	}
+}
+
+// newScheduleTable fills in what each row's engine declares: its delivery
+// guarantee (the scheduler's DeliveryGuarantee method, see
+// EngineDeliveryGuarantee) and its prefix stability (whether the scheduler
+// implements checkpointableScheduler). A seedless row keeps the engine it
+// built as its shared one.
+func newScheduleTable(rows []scheduleRow) []scheduleRow {
+	for i := range rows {
+		r := &rows[i]
+		e := r.engine(0)
+		r.guarantee = EngineDeliveryGuarantee(e)
+		if se, ok := e.(*ScheduledEngine); ok {
+			_, r.prefixStable = se.factory().(checkpointableScheduler)
+		}
+		if !r.seeded {
+			r.shared = e
+		}
+	}
+	return rows
+}
+
+// scheduleRowOf returns the row a canonical name or an alias names, or nil.
+func scheduleRowOf(name string) *scheduleRow {
+	for i := range schedules {
+		if r := &schedules[i]; r.name == name || slices.Contains(r.aliases, name) {
+			return r
+		}
+	}
+	return nil
+}
+
+// ScheduleNames lists the schedule names accepted by NewEngineByName (and
+// hence by every -schedule flag and the facade's WithSchedule option). The
+// tail of the list is the fault axis — schedules that vary delivery fate,
+// not just delivery order (see fault.go); use ScheduleDeliveryGuarantee to
+// classify what each one still promises.
+func ScheduleNames() []string {
+	names := make([]string, len(schedules))
+	for i := range schedules {
+		names[i] = schedules[i].name
+	}
+	return names
 }
 
 // CanonicalScheduleName folds the accepted aliases — "fifo" for
@@ -338,38 +410,20 @@ func ScheduleNames() []string {
 // a client pool) should key by the canonical name so aliases converge on one
 // entry.
 func CanonicalScheduleName(name string) string {
-	switch name {
-	case "fifo":
-		return "sequential"
-	case "random-order":
-		return "random"
-	case "bounded-delay":
-		return "adversarial"
-	case "drop":
-		return "lossy"
-	case "at-least-once":
-		return "duplicating"
-	case "crash":
-		return "crash-repair"
-	case "self-stabilizing":
-		return "crash-restart"
-	default:
-		return name
+	if r := scheduleRowOf(name); r != nil {
+		return r.name
 	}
+	return name
 }
 
 // ScheduleUsesSeed reports whether the named schedule's execution depends on
 // the seed. Randomized delivery order does, and so does every fault
 // schedule: their drop/duplicate/crash fates are seeded draws. Results under
 // the remaining schedules are seed-independent, which is what lets the
-// serving tier memoize them under one seed. A new seeded schedule must be
-// added here as well as to the factory table below.
+// serving tier memoize them under one seed. Unknown names report false.
 func ScheduleUsesSeed(name string) bool {
-	switch CanonicalScheduleName(name) {
-	case "random", "lossy", "duplicating", "crash-restart", "crash-repair":
-		return true
-	}
-	return false
+	r := scheduleRowOf(name)
+	return r != nil && r.seeded
 }
 
 // ScheduleDeliveryGuarantee classifies the delivery guarantee of a schedule
@@ -381,73 +435,42 @@ func ScheduleUsesSeed(name string) bool {
 // filter on ExactlyOnce rather than enumerate names. Unknown names classify
 // as ExactlyOnce; the lookup functions remain the validators.
 func ScheduleDeliveryGuarantee(name string) DeliveryGuarantee {
-	switch CanonicalScheduleName(name) {
-	case "duplicating":
-		return AtLeastOnce
-	case "crash-repair":
-		return CrashProne
+	if r := scheduleRowOf(name); r != nil {
+		return r.guarantee
 	}
 	return ExactlyOnce
 }
 
-// schedulerFactoryByName is the single name → scheduler table behind both
-// NewSchedulerByName and NewEngineByName; a new schedule needs exactly one
-// case here plus its ScheduleNames entry (and, if seeded, a
-// ScheduleUsesSeed case). The seed drives randomized schedules and is
-// ignored by deterministic ones. Aliases are folded by
-// CanonicalScheduleName, the only place they are spelled.
-func schedulerFactoryByName(name string, seed int64) (func() Scheduler, error) {
-	switch CanonicalScheduleName(name) {
-	case "sequential":
-		return NewFIFOScheduler, nil
-	case "random":
-		return func() Scheduler { return NewRandomScheduler(seed) }, nil
-	case "round-robin":
-		return NewRoundRobinScheduler, nil
-	case "adversarial":
-		return func() Scheduler { return NewAdversarialScheduler(DefaultAdversarialBound) }, nil
-	case "lossy":
-		return func() Scheduler { return NewLossyScheduler(seed, DefaultDropRate, DefaultMaxRetransmits) }, nil
-	case "duplicating":
-		return func() Scheduler { return NewDuplicatingScheduler(seed, DefaultDuplicateRate) }, nil
-	case "crash-restart":
-		return func() Scheduler { return NewCrashRestartScheduler(seed) }, nil
-	case "crash-repair":
-		return func() Scheduler { return NewCrashRepairScheduler(seed) }, nil
-	default:
-		return nil, fmt.Errorf("%w %q (known: %s)",
-			ErrUnknownSchedule, name, strings.Join(ScheduleNames(), ", "))
-	}
+// ScheduleIsPrefixStable reports whether the named schedule (canonical names
+// and aliases of ScheduleNames) delivers messages in an order that depends
+// only on the sequence of sends so far — never on the word, the seed, or
+// real-time interleaving. Only such schedules may capture and resume
+// checkpoints (see checkpointableScheduler for which qualify and why).
+// Unknown names report false.
+func ScheduleIsPrefixStable(name string) bool {
+	r := scheduleRowOf(name)
+	return r != nil && r.prefixStable
 }
 
-// NewSchedulerByName builds a built-in scheduler by name.
-func NewSchedulerByName(name string, seed int64) (Scheduler, error) {
-	factory, err := schedulerFactoryByName(name, seed)
-	if err != nil {
-		return nil, err
-	}
-	return factory(), nil
-}
+// NewSequentialEngine returns the deterministic global-FIFO engine, the
+// "sequential" schedule. Every call returns the same engine, which captures
+// and resumes prefix checkpoints.
+func NewSequentialEngine() *ScheduledEngine { return sequential }
 
 // NewEngineByName resolves a schedule name (see ScheduleNames) to a
 // ready-to-run engine. This is the single lookup behind the cmd tools'
-// -schedule flags and the facade's WithSchedule option. The names with
-// dedicated engine types are special-cased; everything else is resolved
-// through the shared scheduler table.
+// -schedule flags and the facade's WithSchedule option. A seedless schedule
+// resolves to one shared engine; a seeded one builds an engine for the seed.
 //
 //ring:coldpath -- engine construction, once per run or batch worker
 func NewEngineByName(name string, seed int64) (Engine, error) {
-	switch CanonicalScheduleName(name) {
-	case "sequential":
-		return NewSequentialEngine(), nil
-	case "random":
-		return NewRandomOrderEngine(seed), nil
-	case "sharded":
-		return NewShardedEngine(), nil
+	r := scheduleRowOf(name)
+	switch {
+	case r == nil:
+		return nil, fmt.Errorf("%w %q (known: %s)",
+			ErrUnknownSchedule, name, strings.Join(ScheduleNames(), ", "))
+	case r.shared != nil:
+		return r.shared, nil
 	}
-	factory, err := schedulerFactoryByName(name, seed)
-	if err != nil {
-		return nil, err
-	}
-	return NewScheduledEngine(factory().Name(), factory), nil
+	return r.engine(seed), nil
 }

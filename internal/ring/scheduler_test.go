@@ -226,18 +226,12 @@ func TestNewEngineByNameAndAliases(t *testing.T) {
 	if !errors.Is(err, ErrUnknownSchedule) {
 		t.Errorf("expected ErrUnknownSchedule, got %v", err)
 	}
-	if _, err := NewSchedulerByName("bogus", 0); err == nil {
-		t.Error("NewSchedulerByName should reject unknown names")
-	}
-	if s, err := NewSchedulerByName("sequential", 0); err != nil || s.Name() == "" {
-		t.Errorf("NewSchedulerByName(sequential) = %v, %v", s, err)
-	}
 }
 
 // newEngines returns the scheduler-backed engines added by the event-loop
 // refactor, for the shared behavioural tests below.
 func newEngines() []Engine {
-	return []Engine{NewRoundRobinEngine(), NewAdversarialEngine(DefaultAdversarialBound)}
+	return []Engine{engineNamed("round-robin", 0), engineNamed("adversarial", 0)}
 }
 
 func TestNewEnginesTokenRing(t *testing.T) {
@@ -330,7 +324,7 @@ func TestNewEnginesMatchSequentialAccounting(t *testing.T) {
 }
 
 func TestScheduledEngineIsReusableAcrossRuns(t *testing.T) {
-	eng := NewAdversarialEngine(3)
+	eng := engineOf(func() Scheduler { return NewAdversarialScheduler(3) })
 	for run := 0; run < 3; run++ {
 		res, err := eng.Run(Config{RequireVerdict: true}, tokenNodes(10))
 		if err != nil {

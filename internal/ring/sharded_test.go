@@ -292,9 +292,10 @@ func TestShardedSteadyStateAllocFloor(t *testing.T) {
 
 // TestShardedLargeRing is the scale pin of this engine: a one-million-plus
 // processor token circulation must complete under the sharded engine, and —
-// with a pre-sized, reused RunState — repeat runs must stay within a small
-// per-run allocation budget that scales with the worker count, never with n
-// or the message count (i.e. no queue-growth reallocations at steady state).
+// on a reused RunState, which the first run sizes — repeat runs must stay
+// within a small per-run allocation budget that scales with the worker
+// count, never with n or the message count (i.e. no queue-growth
+// reallocations at steady state).
 func TestShardedLargeRing(t *testing.T) {
 	n := 1 << 20
 	if testing.Short() {
@@ -309,7 +310,7 @@ func TestShardedLargeRing(t *testing.T) {
 		workers = 2
 	}
 	eng := NewShardedEngineWorkers(workers)
-	st := NewRunStateSized(n)
+	st := NewRunState()
 	cfg := Config{RequireVerdict: true}
 
 	start := time.Now()

@@ -104,7 +104,7 @@ func TestRunStateReleasesHighWaterCapacity(t *testing.T) {
 func TestLinkQueuesReleaseHighWaterCapacity(t *testing.T) {
 	const big = 1 << 14
 	const small = 8
-	eng := NewRoundRobinEngine()
+	eng := engineNamed("round-robin", 0)
 	st := NewRunState()
 	cfg := Config{Initiators: AllProcessors}
 

@@ -19,8 +19,9 @@ import "ringlang/internal/bits"
 // Backing arrays grow to the largest ring the state has run and are normally
 // retained; a shrink policy (see shouldShrink) releases capacity that recent
 // runs left mostly unused, so one n=10^6 run does not pin its high-water
-// memory across a long sequence of small runs. Reserve pre-sizes the state
-// for a known upcoming ring size.
+// memory across a long sequence of small runs. A run sizes the contexts,
+// writers and per-link stats to exactly its ring, so the first run at a size
+// pays for them and every later one at that size or below reuses them.
 type RunState struct {
 	loop     loopState
 	contexts []Context
@@ -49,42 +50,6 @@ type RunState struct {
 // NewRunState returns an empty reusable run state.
 func NewRunState() *RunState {
 	return &RunState{}
-}
-
-// NewRunStateSized returns a run state pre-sized for rings of up to n
-// processors, equivalent to NewRunState followed by Reserve(n).
-func NewRunStateSized(n int) *RunState {
-	st := &RunState{}
-	st.Reserve(n)
-	return st
-}
-
-// Reserve pre-sizes the state for a ring of n processors: the processor
-// contexts, their flat scratch-writer array and the per-link stats counters
-// are allocated up front, so the run itself performs no growth reallocation
-// on those structures. Reserving also resets the shrink policy's counters —
-// an explicit reservation is a statement that the capacity is wanted.
-// Reserve is a no-op when the state already holds enough capacity.
-func (st *RunState) Reserve(n int) {
-	if n < 1 {
-		return
-	}
-	if cap(st.contexts) < n {
-		st.contexts = make([]Context, n)
-		st.wired = 0
-	}
-	if cap(st.writers) < n {
-		st.writers = make([]bits.Writer, n)
-		st.wired = 0
-	}
-	s := &st.loop.stats
-	links := numLinks(n)
-	if cap(s.linkMsgs) < links {
-		s.linkMsgs = make([]int32, links)
-		s.linkBits = make([]int64, links)
-	}
-	st.oversizedContexts = 0
-	s.oversizedRuns = 0
 }
 
 // resetContexts sizes the context slice for a ring of n processors and

@@ -40,24 +40,20 @@ func (w *wiringNode) Receive(ctx *Context, _ Direction, payload bits.String) ([]
 }
 
 // TestRunStateRewiresContexts reuses one RunState across engines whose
-// contexts report to different verdict sinks, across ring sizes that grow
-// and shrink, and across a Reserve that reallocates the contexts: contexts
-// wired by an earlier run are kept only where they are still right.
+// contexts report to different verdict sinks, and across ring sizes that
+// grow (reallocating the contexts) and shrink: contexts wired by an earlier
+// run are kept only where they are still right.
 func TestRunStateRewiresContexts(t *testing.T) {
 	seq, sharded := NewSequentialEngine(), NewShardedEngineWorkers(2)
 	st := NewRunState()
 	steps := []struct {
-		eng     StatefulEngine
-		n       int
-		reserve int
+		eng StatefulEngine
+		n   int
 	}{
-		{seq, 16, 0}, {sharded, 16, 0}, {seq, 16, 0}, {seq, 64, 0}, {seq, 8, 0},
-		{sharded, 64, 0}, {sharded, 32, 0}, {seq, 64, 0}, {seq, 200, 4096}, {seq, 64, 0},
+		{seq, 16}, {sharded, 16}, {seq, 16}, {seq, 64}, {seq, 8},
+		{sharded, 64}, {sharded, 32}, {seq, 64}, {seq, 200}, {seq, 64},
 	}
 	for i, s := range steps {
-		if s.reserve > 0 {
-			st.Reserve(s.reserve)
-		}
 		nodes := make([]Node, s.n)
 		for p := range nodes {
 			nodes[p] = &wiringNode{proc: p}

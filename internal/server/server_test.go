@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ringlang"
+	"ringlang/internal/lang"
 )
 
 // newTestServer wires a Server into an httptest listener.
@@ -200,6 +201,37 @@ func TestInvalidWordIsBadRequest(t *testing.T) {
 	for _, i := range []int{1, 2} {
 		if r := seen[i]; r.Report != nil || r.Code != "invalid-word" {
 			t.Errorf("stream word %d = %+v, want invalid-word", i, r)
+		}
+	}
+}
+
+// TestParityK16LettersPastTheSurrogates sends parity at k=16 a word whose
+// letters lie at or above U+E000, past the surrogate block its alphabet
+// skips: every letter survives JSON and the string round trip, so the word
+// runs and the verdict agrees with the language.
+func TestParityK16LettersPastTheSurrogates(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	pl, err := lang.NewParityIndex(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := lang.Word{pl.LetterAt(0xB000), pl.LetterAt(0xB001), pl.LetterAt(1<<16 - 1), pl.LetterAt(0xB000), pl.LetterAt(5)}
+	if word[0] != 0xE000 {
+		t.Fatalf("σ_0xB000 = %U, want U+E000", word[0])
+	}
+	for _, algorithm := range []string{"parity-one-pass", "parity-two-pass"} {
+		var got reportPayload
+		status := postJSON(t, ts.URL+"/v1/recognize",
+			runRequest{Algorithm: algorithm, Language: "k=16", Word: word.String()}, &got)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200", algorithm, status)
+		}
+		want := "reject"
+		if pl.Contains(word) {
+			want = "accept"
+		}
+		if got.Verdict != want || got.Word != word.String() || got.Processors != len(word) {
+			t.Errorf("%s: report %+v, want verdict %s on the word sent", algorithm, got, want)
 		}
 	}
 }
