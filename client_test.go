@@ -523,9 +523,13 @@ func TestClientKeptReportsSurviveLaterBatches(t *testing.T) {
 		}
 		kept = append(kept, streamed...)
 		c.Batch(context.Background(), b)
+		engine, err := ring.NewEngineByName(schedule, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, rep := range kept {
 			w := a[i%len(a)]
-			cold, err := core.Run(core.NewThreeCounters(), w, core.RunOptions{Schedule: schedule, Seed: 5})
+			cold, err := core.Run(core.NewThreeCounters(), w, core.RunOptions{Engine: engine})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,5 +1,5 @@
 // Command ringvet runs the repo-specific static-analysis suite
-// (internal/analysis) over the module: ringdeterminism, hotpathalloc, the
+// (internal/analysis) over the module: ringdeterminism, the
 // interprocedural dataflow tier (allocflow, shardsafe, snapshotpure),
 // ctxflow and errsentinel. It is the static face of the invariant
 // enforcement the runtime guards (goldens, alloc-regression tests,

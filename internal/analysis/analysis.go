@@ -11,11 +11,15 @@
 // Analyzers are scoped by source directives (see directives.go):
 //
 //	//ring:deterministic           — ringdeterminism applies to this function
-//	//ring:hotpath guard=TestName  — hotpathalloc applies; guard names the
+//	//ring:hotpath guard=TestName  — an allocflow root: allocflow checks it and
+//	                                 everything it reaches; guard names the
 //	                                 alloc-regression test covering it
+//	//ring:coldpath -- reason      — allocflow neither checks nor descends here
 //	//ring:ordered [-- reason]     — this range/go/select is deterministic
 //	//ring:prealloc [-- reason]    — this append writes to presized backing
-//	//ringvet:ignore name -- reason — suppress one analyzer on this line
+//	//ringvet:ignore name -- reason — suppress one analyzer on this line (for
+//	                                 allocflow, also prune the line's calls
+//	                                 from hot reach)
 //
 // ctxflow and errsentinel need no directive: their rules are sound
 // everywhere.

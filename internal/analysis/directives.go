@@ -9,7 +9,9 @@ import (
 
 // Marks are the function-level directives of one declaration.
 type Marks struct {
-	// Hotpath means hotpathalloc checks the function (//ring:hotpath).
+	// Hotpath makes the function an allocflow root (//ring:hotpath):
+	// allocflow checks it and everything it reaches, and its findings
+	// carry no chain.
 	Hotpath bool
 	// Deterministic means ringdeterminism checks the function
 	// (//ring:deterministic).

@@ -2,7 +2,7 @@ package analysis
 
 // All returns the full ringvet suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{RingDeterminism, HotpathAlloc, AllocFlow, ShardSafe, SnapshotPure, CtxFlow, ErrSentinel}
+	return []*Analyzer{RingDeterminism, AllocFlow, ShardSafe, SnapshotPure, CtxFlow, ErrSentinel}
 }
 
 // knownAnalyzer validates //ringvet:ignore targets.

@@ -50,8 +50,7 @@ func diagnostics(v int) string {
 	return fmt.Sprintf("failed at %d", v)
 }
 
-// loop is the hot root. It is itself left to hotpathalloc (the directive
-// marks it); allocflow checks everything it reaches.
+// loop is the hot root: allocflow checks it and everything it reaches.
 //
 //ring:hotpath guard=TestLoopAllocs
 func loop(h Handler, n int) {

@@ -1,8 +1,12 @@
-// Package a is the hotpathalloc fixture: lines carrying want comments must
-// be flagged, every other line asserts silence.
-package a
+// Package hot holds the allocflow cases inside the //ring:hotpath roots
+// themselves: their findings carry no chain. Lines carrying want comments
+// must be flagged, every other line asserts silence.
+package hot
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 type ring struct {
 	slots []int
@@ -43,7 +47,7 @@ func (r *ring) push(v int, label string) error {
 	vals := []any{v}
 	sinks(vals...)
 	_ = any(v) // want "conversion to interface any boxes its operand"
-	//ringvet:ignore hotpathalloc -- one-time diagnostic on the failure path
+	//ringvet:ignore allocflow -- one-time diagnostic on the failure path
 	_ = fmt.Sprintf("fail %d", v)
 	if v < 0 {
 		err := fmt.Errorf("stash %d", v) // want "fmt.Errorf allocates"
@@ -71,4 +75,21 @@ func (r *ring) scan(base int) int {
 	}
 	runHot(func() int { return 1 })
 	return total
+}
+
+// pass hands values to an interface parameter. A pointer, a map, a channel,
+// a func and an unsafe.Pointer go into the interface word as they are; a
+// struct value and an int are boxed.
+//
+//ring:hotpath guard=TestPassAllocs
+func (r *ring) pass(m map[int]int, ch chan int, f func() int, p unsafe.Pointer) {
+	sink(r)
+	sink(m)
+	sink(ch)
+	sink(f)
+	sink(cold)
+	sink(p)
+	_ = any(r)
+	sink(*r)     // want "passing concrete fixture/allocflow/hot.ring as interface parameter boxes it"
+	sink(len(m)) // want "passing concrete int as interface parameter boxes it"
 }

@@ -90,9 +90,13 @@ func TestAllocFlowCoversSteadyStatePath(t *testing.T) {
 	for _, id := range []analysis.FuncID{
 		"ringlang/internal/ring.runLoopFrom",
 		"ringlang/internal/ring.routeSend",
+		"ringlang/internal/ring.(RunState).resetContexts",
 		"ringlang/internal/ring.(fifoQueue).push",
 		"ringlang/internal/ring.(fifoQueue).pop",
 		"ringlang/internal/ring.(Stats).record",
+		"ringlang/internal/ring.(linkQueues).push",
+		"ringlang/internal/ring.(linkQueues).pop",
+		"ringlang/internal/ring.(randomScheduler).Next",
 		"ringlang/internal/ring.(roundRobinScheduler).Push",
 		"ringlang/internal/ring.(roundRobinScheduler).Next",
 		"ringlang/internal/ring.(adversarialScheduler).Push",

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 
 	"ringlang/internal/core"
 	"ringlang/internal/election"
@@ -134,8 +135,9 @@ func ExperimentE17(sizes []int) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := core.ElectThenRecognize(election.HirschbergSinclair, rec, word, nil,
-				core.RunOptions{Engine: engine, Seed: 1, Ctx: defaultCtx})
+			ids := election.RandomIDs(len(word), rand.New(rand.NewSource(1)))
+			res, err := core.ElectThenRecognize(election.HirschbergSinclair, rec, word, ids,
+				core.RunOptions{Engine: engine, Ctx: defaultCtx})
 			if err != nil {
 				return nil, fmt.Errorf("bench: E17 elect+recognize under %s at n=%d: %w", schedule, n, err)
 			}

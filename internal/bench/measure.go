@@ -28,21 +28,15 @@ const (
 	RandomWords
 )
 
-// MeasureOptions configures a sweep.
+// MeasureOptions configures a sweep. Every sweep runs on the package
+// default engine (sequential unless SetDefaultSchedule changed it);
+// experiments that sweep the schedule axis run their engines themselves.
 type MeasureOptions struct {
 	// Kind selects member / non-member / random inputs (default member).
 	Kind WordKind
-	// Engine pins the engine of the sweep. When nil, Schedule names one
-	// (see ring.ScheduleNames); when that is empty too, the sweep runs on
-	// the package default (sequential unless SetDefaultSchedule changed it).
-	Engine ring.Engine
-	// Schedule names the delivery schedule when Engine is nil. It is a
-	// scenario dimension: the same sweep rerun under another schedule must
-	// report the same bits, and experiments sweep it like sizes.
-	Schedule string
-	// Seed defaults to DefaultSeed. It seeds the word generators and any
-	// randomized schedule. A zero Seed means "use the default"; to actually
-	// sweep with seed 0, set SeedSet.
+	// Seed defaults to DefaultSeed. It seeds the word generators. A zero
+	// Seed means "use the default"; to actually sweep with seed 0, set
+	// SeedSet.
 	Seed int64
 	// SeedSet makes an explicit zero Seed usable: when true, Seed is taken
 	// verbatim instead of being replaced by DefaultSeed.
@@ -84,35 +78,21 @@ func (o MeasureOptions) normalize() MeasureOptions {
 	return o
 }
 
-// engine resolves the sweep's engine after normalization.
-func (o MeasureOptions) engine() (ring.Engine, error) {
-	if o.Engine != nil {
-		return o.Engine, nil
-	}
-	if o.Schedule != "" {
-		return ring.NewEngineByName(o.Schedule, o.Seed)
-	}
-	return defaultEngine(), nil
-}
+// defaultEngine is the engine every sweep runs on. cmd/ringbench's
+// -schedule flag replaces it via SetDefaultSchedule so a whole experiment
+// run can be repeated under another delivery schedule.
+var defaultEngine ring.Engine = ring.NewSequentialEngine()
 
-// defaultEngine builds the engine used by sweeps that pin neither an engine
-// nor a schedule. cmd/ringbench's -schedule flag replaces it via
-// SetDefaultSchedule so a whole experiment run can be repeated under another
-// delivery schedule.
-var defaultEngine = func() ring.Engine { return ring.NewSequentialEngine() }
-
-// SetDefaultSchedule routes every sweep that does not explicitly choose an
-// engine or schedule through the named schedule (see ring.ScheduleNames).
-// It mutates a package-wide default and is not synchronized: call it once at
-// process start, before any sweep runs, the way cmd/ringbench does.
+// SetDefaultSchedule routes every sweep through the named schedule (see
+// ring.ScheduleNames), seeded by seed. It mutates a package-wide default and
+// is not synchronized: call it once at process start, before any sweep runs,
+// the way cmd/ringbench does.
 func SetDefaultSchedule(name string, seed int64) error {
 	engine, err := ring.NewEngineByName(name, seed)
 	if err != nil {
 		return err
 	}
-	// Engines are reusable across runs, so the resolved value is captured
-	// directly rather than re-resolved (and its error dropped) per sweep.
-	defaultEngine = func() ring.Engine { return engine }
+	defaultEngine = engine
 	return nil
 }
 
@@ -176,10 +156,7 @@ func wordForSize(language lang.Language, n int, kind WordKind, window int, rng *
 // execution order.
 func MeasureRecognizer(rec core.Recognizer, sizes []int, opts MeasureOptions) ([]Point, error) {
 	opts = opts.normalize()
-	engine, err := opts.engine()
-	if err != nil {
-		return nil, err
-	}
+	engine := defaultEngine
 	if opts.Workers != 1 {
 		return measureParallel(rec, sizes, opts, engine)
 	}
@@ -249,15 +226,11 @@ func measureParallel(rec core.Recognizer, sizes []int, opts MeasureOptions, engi
 // traces and per-processor inputs).
 func MeasureOne(rec core.Recognizer, n int, opts MeasureOptions, recordTrace bool) (Point, *ring.Result, lang.Word, error) {
 	opts = opts.normalize()
-	engine, err := opts.engine()
-	if err != nil {
-		return Point{}, nil, nil, err
-	}
 	word, err := sweepWord(rec, n, opts)
 	if err != nil {
 		return Point{}, nil, nil, err
 	}
-	res, err := core.Run(rec, word, core.RunOptions{Engine: engine, RecordTrace: recordTrace, Ctx: opts.Ctx})
+	res, err := core.Run(rec, word, core.RunOptions{Engine: defaultEngine, RecordTrace: recordTrace, Ctx: opts.Ctx})
 	if err != nil {
 		return Point{}, nil, nil, fmt.Errorf("bench: %s at n=%d: %w", rec.Name(), n, err)
 	}

@@ -69,20 +69,32 @@ func TestExplicitWindowZeroIsExact(t *testing.T) {
 
 // TestMeasureWorkersParity pins the batch-sweep determinism: any worker
 // count yields the points of the serial sweep, under the default engine, a
-// named schedule, and the random-word kind.
+// default schedule installed with SetDefaultSchedule, and the random-word
+// kind.
 func TestMeasureWorkersParity(t *testing.T) {
 	sizes := []int{6, 9, 12, 21, 30}
 	cases := []struct {
-		name string
-		rec  core.Recognizer
-		opts MeasureOptions
+		name     string
+		rec      core.Recognizer
+		opts     MeasureOptions
+		schedule string // installed as the default, seeded by opts.Seed
 	}{
-		{"default-engine", core.NewThreeCounters(), MeasureOptions{}},
-		{"random-schedule", core.NewBalancedCounter(), MeasureOptions{Schedule: "random", Seed: 5}},
-		{"random-words", core.NewCompareWcW(), MeasureOptions{Kind: RandomWords}},
+		{"default-engine", core.NewThreeCounters(), MeasureOptions{}, ""},
+		{"random-schedule", core.NewBalancedCounter(), MeasureOptions{Seed: 5}, "random"},
+		{"random-words", core.NewCompareWcW(), MeasureOptions{Kind: RandomWords}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.schedule != "" {
+				if err := SetDefaultSchedule(tc.schedule, tc.opts.Seed); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() {
+					if err := SetDefaultSchedule("sequential", 0); err != nil {
+						t.Error(err)
+					}
+				})
+			}
 			serialOpts := tc.opts
 			serialOpts.Workers = 1
 			serial, err := MeasureRecognizer(tc.rec, sizes, serialOpts)

@@ -101,7 +101,9 @@ func ExperimentE13(sizes []int) (*Table, error) {
 			}
 		}
 	}
-	results := exec.RunBatchContext(wordOpts.Ctx, jobs, exec.Options{Workers: wordOpts.Workers})
+	pool := exec.NewPool(wordOpts.Workers)
+	results := pool.RunBatchContext(wordOpts.Ctx, jobs)
+	pool.Close()
 
 	disagreements := 0
 	cell := 0

@@ -5,12 +5,14 @@
 // compared against the language's membership predicate.
 //
 // Entry points: Run executes a recognizer on a word under RunOptions{Engine,
-// Schedule, Seed, RecordTrace, State, Ctx} (State reuses a ring.RunState
-// across runs — the batch pool's zero-allocation path; Ctx cancels mid-run
-// with ring.ErrCanceled); Check is Run plus a verdict-vs-membership
-// cross-check. NewRecognizerByName resolves the AlgorithmNames catalog for
-// the cmd tools, the ringlang facade and the serving tier, wrapping lookup
-// failures in ErrUnknownAlgorithm / lang.ErrUnknownLanguage.
+// RecordTrace, State, Ctx, Prefix, Reuse, AllowFaults} (a nil Engine means
+// sequential; callers holding a schedule name resolve it once with
+// ring.NewEngineByName; State reuses a ring.RunState across runs — the batch
+// pool's zero-allocation path; Ctx cancels mid-run with ring.ErrCanceled);
+// Check is Run plus a verdict-vs-membership cross-check.
+// NewRecognizerByName resolves the AlgorithmNames catalog for the cmd tools,
+// the ringlang facade and the serving tier, wrapping lookup failures in
+// ErrUnknownAlgorithm / lang.ErrUnknownLanguage.
 //
 // Most recognizers are declarations over the token-pass framework
 // (TokenAlgo/TokenPass/NewTokenRecognizer, see token.go): a spec of per-pass

@@ -71,7 +71,7 @@ func TestPropertyFaultSchedulesAgreeOrRefuse(t *testing.T) {
 			}
 			for seed := int64(1); seed <= 3; seed++ {
 				for _, name := range exactlyOnce {
-					res, err := Run(rec, word, RunOptions{Schedule: name, Seed: seed})
+					res, err := Run(rec, word, RunOptions{Engine: mustEngine(t, name, seed)})
 					if err != nil {
 						t.Fatalf("%s under %s seed %d on %q: %v", rec.Name(), name, seed, word.String(), err)
 					}
@@ -88,7 +88,7 @@ func TestPropertyFaultSchedulesAgreeOrRefuse(t *testing.T) {
 					// The raw recognizer must be refused, typed — a wrong
 					// verdict with no error would poison every caller that
 					// trusts the verdict.
-					_, err := Run(rec, word, RunOptions{Schedule: name, Seed: seed})
+					_, err := Run(rec, word, RunOptions{Engine: mustEngine(t, name, seed)})
 					if !errors.Is(err, ErrDeliveryNotTolerated) {
 						t.Errorf("%s under %s seed %d: got %v, want ErrDeliveryNotTolerated", rec.Name(), name, seed, err)
 					}
@@ -118,7 +118,7 @@ func TestPropertyDedupRestoresAtLeastOnceAgreement(t *testing.T) {
 					if ring.ScheduleDeliveryGuarantee(name) != ring.AtLeastOnce {
 						continue
 					}
-					res, err := Run(wrapped, word, RunOptions{Schedule: name, Seed: seed})
+					res, err := Run(wrapped, word, RunOptions{Engine: mustEngine(t, name, seed)})
 					if err != nil {
 						t.Fatalf("%s under %s seed %d on %q: %v", wrapped.Name(), name, seed, word.String(), err)
 					}
@@ -151,7 +151,7 @@ func TestPropertyAllowedFaultRunsAreDeterministic(t *testing.T) {
 				err     string
 			}
 			run := func() outcome {
-				res, err := Run(rec, word, RunOptions{Schedule: name, Seed: seed, AllowFaults: true})
+				res, err := Run(rec, word, RunOptions{Engine: mustEngine(t, name, seed), AllowFaults: true})
 				if err != nil {
 					return outcome{err: err.Error()}
 				}

@@ -84,7 +84,7 @@ func (p *NodeReuse) build(rec Recognizer, word lang.Word) ([]ring.Node, error) {
 			victim = s
 		}
 	}
-	//ringvet:ignore hotpathalloc -- a ring not kept yet (new recognizer or size) constructs fresh nodes; the steady path above rebuilds in place
+	//ringvet:ignore allocflow -- a ring not kept yet (new recognizer or size) constructs fresh nodes; the steady path above rebuilds in place
 	nodes, err := rec.NewNodes(word)
 	if err != nil {
 		return nil, err

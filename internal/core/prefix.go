@@ -160,10 +160,10 @@ func (p *PrefixCache) run(rec PrefixExtendable, word lang.Word, ce ring.Checkpoi
 
 	run := ring.CheckpointRun{Resume: cp}
 	if planned > 0 {
-		//ringvet:ignore hotpathalloc -- capture planning runs at most once per distinct prefix; the steady-state resume path takes the planned == 0 branch
+		//ringvet:ignore allocflow -- capture planning runs at most once per distinct prefix; the steady-state resume path takes the planned == 0 branch
 		run.CaptureAfter = append([]int(nil), capDeliveries[:planned]...)
 		deliveries, depths := capDeliveries, capDepths
-		//ringvet:ignore hotpathalloc -- same cold-capture path as above
+		//ringvet:ignore allocflow -- same cold-capture path as above
 		run.OnCapture = func(c *ring.Checkpoint) {
 			for i := 0; i < planned; i++ {
 				if deliveries[i] == c.Deliveries() {

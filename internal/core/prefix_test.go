@@ -75,13 +75,14 @@ func TestPrefixCacheMatchesColdRunAcrossCatalog(t *testing.T) {
 	for _, rec := range allRecognizers(t) {
 		alphabet := rec.Language().Alphabet()
 		for _, schedule := range stable {
+			engine := mustEngine(t, schedule, 0)
 			for trial := 0; trial < 4; trial++ {
 				n := 8 + rng.Intn(33)
 				word := lang.RandomWord(alphabet, n, rng)
 				sibling := prefixSibling(word, alphabet, n/2, rng)
 
 				cold := func(w lang.Word) *ring.Result {
-					res, err := Run(rec, w, RunOptions{Schedule: schedule})
+					res, err := Run(rec, w, RunOptions{Engine: engine})
 					if err != nil {
 						t.Fatalf("%s/%s cold on %q: %v", rec.Name(), schedule, w.String(), err)
 					}
@@ -91,7 +92,7 @@ func TestPrefixCacheMatchesColdRunAcrossCatalog(t *testing.T) {
 
 				cache := NewPrefixCache(1 << 22)
 				warm := func(w lang.Word) *ring.Result {
-					res, err := Run(rec, w, RunOptions{Schedule: schedule, Prefix: cache})
+					res, err := Run(rec, w, RunOptions{Engine: engine, Prefix: cache})
 					if err != nil {
 						t.Fatalf("%s/%s warm on %q: %v", rec.Name(), schedule, w.String(), err)
 					}
@@ -129,10 +130,10 @@ func TestPrefixCacheBypassedWhenUnusable(t *testing.T) {
 		name string
 		opts RunOptions
 	}{
-		{"random schedule", RunOptions{Schedule: "random", Seed: 7}},
-		{"sharded schedule", RunOptions{Schedule: "sharded"}},
-		{"adversarial schedule", RunOptions{Schedule: "adversarial"}},
-		{"trace recording", RunOptions{Schedule: "sequential", RecordTrace: true}},
+		{"random schedule", RunOptions{Engine: mustEngine(t, "random", 7)}},
+		{"sharded schedule", RunOptions{Engine: mustEngine(t, "sharded", 0)}},
+		{"adversarial schedule", RunOptions{Engine: mustEngine(t, "adversarial", 0)}},
+		{"trace recording", RunOptions{Engine: ring.NewSequentialEngine(), RecordTrace: true}},
 	} {
 		cache := NewPrefixCache(1 << 20)
 		opts := tc.opts
@@ -156,7 +157,7 @@ func TestPrefixCacheBypassedWhenUnusable(t *testing.T) {
 	// must still answer; a one-letter ring has no usable prefix at all.
 	for _, w := range []string{"01", "1"} {
 		cache := NewPrefixCache(1 << 20)
-		if _, err := Run(rec, lang.WordFromString(w), RunOptions{Schedule: "sequential", Prefix: cache}); err != nil {
+		if _, err := Run(rec, lang.WordFromString(w), RunOptions{Engine: ring.NewSequentialEngine(), Prefix: cache}); err != nil {
 			t.Fatalf("tiny ring %q with cache: %v", w, err)
 		}
 	}
@@ -173,11 +174,11 @@ func TestPrefixCacheSurvivesEviction(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 16 + rng.Intn(17)
 		word := lang.RandomWord(alphabet, n, rng)
-		cold, err := Run(rec, word, RunOptions{Schedule: "sequential"})
+		cold, err := Run(rec, word, RunOptions{Engine: ring.NewSequentialEngine()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := Run(rec, word, RunOptions{Schedule: "sequential", Prefix: cache})
+		warm, err := Run(rec, word, RunOptions{Engine: ring.NewSequentialEngine(), Prefix: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,8 +199,8 @@ func TestPrefixRunStaysOnColdAllocFloor(t *testing.T) {
 	rec := NewMajority()
 	word := lang.RandomWord(rec.Language().Alphabet(), n, rand.New(rand.NewSource(110)))
 
-	coldOpts := RunOptions{Schedule: "sequential", State: ring.NewRunState()}
-	warmOpts := RunOptions{Schedule: "sequential", State: ring.NewRunState(), Prefix: NewPrefixCache(1 << 22)}
+	coldOpts := RunOptions{Engine: ring.NewSequentialEngine(), State: ring.NewRunState()}
+	warmOpts := RunOptions{Engine: ring.NewSequentialEngine(), State: ring.NewRunState(), Prefix: NewPrefixCache(1 << 22)}
 	for _, opts := range []RunOptions{coldOpts, warmOpts} {
 		if _, err := Run(rec, word, opts); err != nil {
 			t.Fatal(err)

@@ -37,18 +37,10 @@ func (emptyWordError) Unwrap() error { return lang.ErrInvalidWord }
 
 // RunOptions configures a single recognition run.
 type RunOptions struct {
-	// Engine to execute on; when nil, Schedule selects a built-in engine,
-	// defaulting to the deterministic sequential one.
+	// Engine to execute on; nil means the deterministic sequential one.
+	// Callers holding a schedule name resolve it once with
+	// ring.NewEngineByName and reuse the engine across runs.
 	Engine ring.Engine
-	// Schedule names a built-in delivery schedule — one of
-	// ring.ScheduleNames: "sequential", "random", "round-robin",
-	// "adversarial", "sharded", and the fault schedules "lossy",
-	// "duplicating", "crash-restart", "crash-repair". Ignored when Engine is
-	// non-nil.
-	Schedule string
-	// Seed drives the seeded schedules: "random" and every fault schedule
-	// (see ring.ScheduleUsesSeed). The other schedules ignore it.
-	Seed int64
 	// RecordTrace enables trace recording for information-state analyses.
 	RecordTrace bool
 	// State, when non-nil, lets engines that support it (ring.StatefulEngine)
@@ -87,14 +79,11 @@ type RunOptions struct {
 }
 
 // engine resolves the options to a concrete engine.
-func (o RunOptions) engine() (ring.Engine, error) {
+func (o RunOptions) engine() ring.Engine {
 	if o.Engine != nil {
-		return o.Engine, nil
+		return o.Engine
 	}
-	if o.Schedule != "" {
-		return ring.NewEngineByName(o.Schedule, o.Seed)
-	}
-	return ring.NewSequentialEngine(), nil
+	return ring.NewSequentialEngine()
 }
 
 // Run executes the recognizer on a ring labelled with word and returns the
@@ -118,10 +107,7 @@ func Run(rec Recognizer, word lang.Word, opts RunOptions) (*ring.Result, error) 
 	if len(nodes) != len(word) {
 		return nil, fmt.Errorf("core: %s built %d nodes for %d letters", rec.Name(), len(nodes), len(word))
 	}
-	engine, err := opts.engine()
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
+	engine := opts.engine()
 	if g := ring.EngineDeliveryGuarantee(engine); !opts.AllowFaults && !Tolerates(rec, g) {
 		return nil, fmt.Errorf("%w: %s under %s delivery (engine %s); wrap the recognizer with WithDedup or set RunOptions.AllowFaults",
 			ErrDeliveryNotTolerated, rec.Name(), g, engine.Name())

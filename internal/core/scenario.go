@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ringlang/internal/election"
 	"ringlang/internal/lang"
@@ -55,8 +54,9 @@ type ScenarioResult struct {
 // recognition decides is the pattern read from whoever won, so callers must
 // judge the verdict against Rotated, not against word.
 //
-// ids are the processors' election identifiers; nil draws distinct random
-// ids seeded by opts.Seed, so the composition stays deterministic per seed.
+// ids are the processors' election identifiers, one per letter (for
+// example election.RandomIDs with a seeded generator, which keeps the
+// composition deterministic per seed).
 //
 // Under an engine whose delivery guarantee is weaker than the algorithms
 // tolerate, both phases are hardened exactly as far as possible rather than
@@ -68,16 +68,10 @@ func ElectThenRecognize(p election.Protocol, rec Recognizer, word lang.Word, ids
 	if len(word) == 0 {
 		return nil, ErrEmptyWord
 	}
-	if ids == nil {
-		ids = election.RandomIDs(len(word), rand.New(rand.NewSource(opts.Seed)))
-	}
 	if len(ids) != len(word) {
 		return nil, fmt.Errorf("core: scenario: %d ids for %d letters", len(ids), len(word))
 	}
-	engine, err := opts.engine()
-	if err != nil {
-		return nil, fmt.Errorf("core: scenario: %w", err)
-	}
+	engine := opts.engine()
 
 	guarantee := ring.EngineDeliveryGuarantee(engine)
 	dedup := guarantee == ring.AtLeastOnce && !opts.AllowFaults
@@ -104,7 +98,6 @@ func ElectThenRecognize(p election.Protocol, rec Recognizer, word lang.Word, ids
 	}
 	recOpts := opts
 	recOpts.Engine = engine
-	recOpts.Schedule = ""
 	res, err := Run(recRun, rotated, recOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: scenario: recognize after %s: %w", p, err)

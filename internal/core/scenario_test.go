@@ -26,7 +26,8 @@ func TestElectThenRecognizeCatalog(t *testing.T) {
 				t.Fatalf("%s: no test word near n=%d", rec.Name(), n)
 			}
 		}
-		res, err := ElectThenRecognize(election.HirschbergSinclair, rec, word, nil, RunOptions{Seed: 5})
+		ids := election.RandomIDs(len(word), rand.New(rand.NewSource(5)))
+		res, err := ElectThenRecognize(election.HirschbergSinclair, rec, word, ids, RunOptions{})
 		if err != nil {
 			t.Fatalf("%s on %q: %v", rec.Name(), word.String(), err)
 		}
@@ -66,8 +67,9 @@ func TestElectThenRecognizeUnderFaultSchedules(t *testing.T) {
 	for _, schedule := range []string{"lossy", "duplicating", "crash-restart"} {
 		for seed := int64(1); seed <= 3; seed++ {
 			run := func() *ScenarioResult {
-				res, err := ElectThenRecognize(election.ChangRoberts, rec, word, nil,
-					RunOptions{Schedule: schedule, Seed: seed})
+				ids := election.RandomIDs(len(word), rand.New(rand.NewSource(seed)))
+				res, err := ElectThenRecognize(election.ChangRoberts, rec, word, ids,
+					RunOptions{Engine: mustEngine(t, schedule, seed)})
 				if err != nil {
 					t.Fatalf("%s seed %d: %v", schedule, seed, err)
 				}
@@ -101,6 +103,9 @@ func TestElectThenRecognizeValidation(t *testing.T) {
 	word := lang.WordFromString("0110")
 	if _, err := ElectThenRecognize(election.ChangRoberts, rec, word, []uint64{1, 2}, RunOptions{}); err == nil {
 		t.Error("mismatched ids length must fail")
+	}
+	if _, err := ElectThenRecognize(election.ChangRoberts, rec, word, nil, RunOptions{}); err == nil {
+		t.Error("nil ids must fail")
 	}
 	// Explicit ids pin the winner: descending ids put the maximum at index 0.
 	res, err := ElectThenRecognize(election.ChangRoberts, rec, word, election.DescendingIDs(len(word)), RunOptions{})

@@ -107,7 +107,7 @@ func TestRunOptionsScheduleSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range ring.ScheduleNames() {
-		res, err := Run(rec, word, RunOptions{Schedule: name, Seed: 3})
+		res, err := Run(rec, word, RunOptions{Engine: mustEngine(t, name, 3)})
 		if ring.ScheduleDeliveryGuarantee(name) != ring.ExactlyOnce {
 			// The raw recognizer does not tolerate weaker-than-exactly-once
 			// delivery; selecting such a schedule must refuse, typed.
@@ -123,8 +123,5 @@ func TestRunOptionsScheduleSelection(t *testing.T) {
 			t.Errorf("schedule %q: verdict=%v bits=%d, want %v/%d",
 				name, res.Verdict, res.Stats.Bits, base.Verdict, base.Stats.Bits)
 		}
-	}
-	if _, err := Run(rec, word, RunOptions{Schedule: "bogus"}); err == nil {
-		t.Error("unknown schedule should fail the run")
 	}
 }

@@ -36,7 +36,9 @@ func batchJobs(count, size int) []Job {
 func TestRunBatchContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results := RunBatchContext(ctx, batchJobs(16, 4), Options{Workers: 2})
+	p := NewPool(2)
+	defer p.Close()
+	results := p.RunBatchContext(ctx, batchJobs(16, 4))
 	if len(results) != 16 {
 		t.Fatalf("got %d results, want 16", len(results))
 	}
@@ -64,7 +66,9 @@ func TestRunEachCancelMidBatch(t *testing.T) {
 	var completed, canceled atomic.Int64
 	var mu sync.Mutex
 	out := make([]Result, jobs)
-	RunEach(ctx, batchJobs(jobs, 8), Options{Workers: 1}, func(i int, r Result) {
+	p := NewPool(1)
+	defer p.Close()
+	p.RunEach(ctx, batchJobs(jobs, 8), func(i int, r Result) {
 		mu.Lock()
 		out[i] = r
 		mu.Unlock()
@@ -96,10 +100,13 @@ func TestRunEachCancelMidBatch(t *testing.T) {
 }
 
 // TestRunBatchContextNilContext pins that a nil context means "not
-// cancelable" and the batch behaves exactly like RunBatch.
+// cancelable": the batch behaves exactly like one under
+// context.Background().
 func TestRunBatchContextNilContext(t *testing.T) {
-	want := RunBatch(batchJobs(4, 4), Options{Workers: 2})
-	got := RunBatchContext(nil, batchJobs(4, 4), Options{Workers: 2})
+	p := NewPool(2)
+	defer p.Close()
+	want := p.RunBatchContext(context.Background(), batchJobs(4, 4))
+	got := p.RunBatchContext(nil, batchJobs(4, 4))
 	if len(got) != len(want) {
 		t.Fatalf("result counts differ: %d vs %d", len(got), len(want))
 	}
@@ -125,7 +132,7 @@ func TestPoolSurvivesCanceledBatch(t *testing.T) {
 			t.Fatalf("expected cancellation, got %v", r.Err)
 		}
 	}
-	for i, r := range p.RunBatch(batchJobs(8, 4)) {
+	for i, r := range p.RunBatchContext(context.Background(), batchJobs(8, 4)) {
 		if r.Err != nil {
 			t.Fatalf("job %d after canceled batch: %v", i, r.Err)
 		}
@@ -140,7 +147,9 @@ func TestPoolSurvivesCanceledBatch(t *testing.T) {
 func TestJobRecordTrace(t *testing.T) {
 	jobs := batchJobs(2, 3)
 	jobs[0].RecordTrace = true
-	results := RunBatch(jobs, Options{Workers: 1})
+	p := NewPool(1)
+	defer p.Close()
+	results := p.RunBatchContext(context.Background(), jobs)
 	if results[0].Err != nil || results[1].Err != nil {
 		t.Fatalf("unexpected errors: %v / %v", results[0].Err, results[1].Err)
 	}
@@ -194,12 +203,12 @@ func TestPoolSharesWorkersAcrossCalls(t *testing.T) {
 	longDone := make(chan struct{})
 	go func() {
 		defer close(longDone)
-		pool.RunBatch(jobs("001122", long))
+		pool.RunBatchContext(context.Background(), jobs("001122", long))
 	}()
 	<-engine.started
 	<-engine.started // both workers hold a long job
 	shortDone := make(chan []Result, 1)
-	go func() { shortDone <- pool.RunBatch(jobs("012", 4)) }()
+	go func() { shortDone <- pool.RunBatchContext(context.Background(), jobs("012", 4)) }()
 	for registered := false; !registered; {
 		pool.mu.Lock()
 		registered = len(pool.calls) == 2

@@ -12,17 +12,17 @@
 // several callers. Results are lent, not copied: RunEach hands each one to
 // its deliver callback with stats that alias the worker's state until the
 // callback returns, and only the callers that keep results past it —
-// RunBatch/RunBatchContext, ringlang.Client.Batch/Stream — clone them.
+// Pool.RunBatchContext, ringlang.Client.Batch/Stream — clone them.
 // ringserve reads the totals inside the callback and clones nothing. Every
 // job pins its engine (Job.Engine); batch results are bit-for-bit identical
 // to serial core.Run/core.Check calls under every built-in schedule, which
 // internal/exec's property tests enforce.
 //
-// Entry points: NewPool/Pool.RunBatchContext for a long-lived pool shared by
-// concurrent callers (Pool says how they share its workers),
-// RunBatch/RunBatchContext for one-shot batches, RunEach to stream results
-// in completion order (what ringlang.Client.Stream and ringserve's
-// /v1/stream are built on). A canceled call's remaining jobs fail without
+// Entry points: NewPool starts a pool, long-lived and shared by concurrent
+// callers (Pool says how they share its workers) or built for one batch and
+// closed after it; Pool.RunBatchContext returns a batch's results in job
+// order, and Pool.RunEach streams them in completion order (what
+// ringlang.Client.Stream and ringserve's /v1/stream are built on). A canceled call's remaining jobs fail without
 // running, with ring.ErrCanceled, and the words that completed are never
 // discarded.
 // The facade (ringlang.Client.Batch/Stream, one pool per client), the bench

@@ -29,7 +29,7 @@ func flattenPerLink(s *ring.Stats) map[[2]int]ring.LinkStats {
 	return out
 }
 
-// TestPropertyBatchMatchesSerial is the batch-equivalence property: RunBatch
+// TestPropertyBatchMatchesSerial is the batch-equivalence property: batch
 // results must be bit-for-bit identical to serial core.Check across
 // algorithms, schedules and worker counts. Run it with -race to cover the
 // pool and the sharded engine's workers.
@@ -59,13 +59,12 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 	}
 	sizes := []int{3, 9, 21}
 	// One pinned engine per schedule, shared by all of its jobs as a
-	// long-lived caller would share it.
+	// long-lived caller would share it. The serial baseline runs the engine
+	// the name resolves to; the unnamed schedule leaves core.Run to its
+	// default.
 	engines := make([]ring.Engine, len(schedules))
+	serial := make([]ring.Engine, len(schedules))
 	for i, s := range schedules {
-		if s.pinned != nil {
-			engines[i] = s.pinned
-			continue
-		}
 		name := s.name
 		if name == "" {
 			name = "sequential"
@@ -75,6 +74,12 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		engines[i] = e
+		if s.name != "" {
+			serial[i] = e
+		}
+		if s.pinned != nil {
+			engines[i] = s.pinned
+		}
 	}
 
 	// Build the job grid and the serial baseline.
@@ -93,7 +98,7 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 			}
 			for _, word := range words {
 				for si, s := range schedules {
-					res, err := core.Check(rec, word, core.RunOptions{Schedule: s.name, Seed: s.seed})
+					res, err := core.Check(rec, word, core.RunOptions{Engine: serial[si]})
 					if err != nil {
 						t.Fatalf("serial %s n=%d schedule=%q: %v", rec.Name(), n, s.name, err)
 					}
@@ -108,7 +113,7 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 		pool := NewPool(workers)
 		// Two batches per pool: the second exercises fully warmed state.
 		for round := 0; round < 2; round++ {
-			got := pool.RunBatch(jobs)
+			got := pool.RunBatchContext(context.Background(), jobs)
 			if len(got) != len(jobs) {
 				t.Fatalf("workers=%d: %d results for %d jobs", workers, len(got), len(jobs))
 			}
@@ -142,7 +147,7 @@ func TestRunBatchResultsAreIndependent(t *testing.T) {
 	pool := NewPool(1)
 	defer pool.Close()
 
-	first := pool.RunBatch([]Job{{Rec: rec, Word: w1, Engine: seq, Check: true}, {Rec: rec, Word: w2, Engine: seq, Check: true}})
+	first := pool.RunBatchContext(context.Background(), []Job{{Rec: rec, Word: w1, Engine: seq, Check: true}, {Rec: rec, Word: w2, Engine: seq, Check: true}})
 	for i, r := range first {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)
@@ -151,7 +156,7 @@ func TestRunBatchResultsAreIndependent(t *testing.T) {
 	snapshot := flattenPerLink(first[0].Stats)
 	// A second batch on the same worker reuses and resets the state; the
 	// already-returned results must not change.
-	pool.RunBatch([]Job{{Rec: rec, Word: w2, Engine: seq, Check: true}})
+	pool.RunBatchContext(context.Background(), []Job{{Rec: rec, Word: w2, Engine: seq, Check: true}})
 	if !reflect.DeepEqual(snapshot, flattenPerLink(first[0].Stats)) {
 		t.Fatal("a later batch mutated an earlier result's stats")
 	}
@@ -165,12 +170,14 @@ func TestRunBatchResultsAreIndependent(t *testing.T) {
 func TestRunBatchErrors(t *testing.T) {
 	rec := core.NewThreeCounters()
 	seq := ring.NewSequentialEngine()
-	results := RunBatch([]Job{
+	pool := NewPool(2)
+	defer pool.Close()
+	results := pool.RunBatchContext(context.Background(), []Job{
 		{Rec: rec, Word: lang.WordFromString("012"), Engine: seq, Check: true},
 		{Word: lang.WordFromString("012"), Engine: seq},
 		{Rec: rec, Word: lang.WordFromString("012")},
 		{Rec: rec, Word: nil, Engine: seq},
-	}, Options{Workers: 2})
+	})
 	if results[0].Err != nil {
 		t.Errorf("good job failed: %v", results[0].Err)
 	}
@@ -187,8 +194,10 @@ func TestRunBatchErrors(t *testing.T) {
 
 // TestRunBatchEmpty covers the degenerate batch.
 func TestRunBatchEmpty(t *testing.T) {
-	if got := RunBatch(nil, Options{}); len(got) != 0 {
-		t.Fatalf("RunBatch(nil) = %v", got)
+	pool := NewPool(1)
+	defer pool.Close()
+	if got := pool.RunBatchContext(context.Background(), nil); len(got) != 0 {
+		t.Fatalf("RunBatchContext(nil jobs) = %v", got)
 	}
 }
 
@@ -229,7 +238,7 @@ func TestLentAndKeptResults(t *testing.T) {
 			}
 		})
 		kept := pool.RunBatchContext(context.Background(), jobs(a))
-		pool.RunBatch(jobs(b))
+		pool.RunBatchContext(context.Background(), jobs(b))
 		for i, r := range kept {
 			if r.Err != nil {
 				t.Fatalf("%s: job %d: %v", eng.Name(), i, r.Err)

@@ -44,9 +44,8 @@ type Job struct {
 // Result is the outcome of one Job. A Result handed to a RunEach deliver
 // callback is lent: its Stats aliases the worker's reusable run state and is
 // valid only until deliver returns, because the worker's next run resets it
-// — clone it (ring.Stats.Clone) to keep it. The Results RunBatch and
-// RunBatchContext return are independent snapshots that stay valid after the
-// pool moves on.
+// — clone it (ring.Stats.Clone) to keep it. The Results RunBatchContext
+// returns are independent snapshots that stay valid after the pool moves on.
 type Result struct {
 	Verdict ring.Verdict
 	Stats   *ring.Stats
@@ -59,20 +58,13 @@ type Result struct {
 	Err   error
 }
 
-// Options configures package-level RunBatch calls.
-type Options struct {
-	// Workers is the number of worker goroutines; values < 1 mean
-	// runtime.GOMAXPROCS(0).
-	Workers int
-}
-
 // Pool is a set of persistent worker goroutines, each owning reusable run
-// state. A Pool may serve many RunEach and RunBatch calls at once. A free
-// worker takes the next job of the call with the fewest jobs running (the
-// least recently served on a tie), so concurrent calls share the workers
-// evenly: a small batch sharing the pool with a large one keeps a worker
-// instead of queueing behind the large one's longer runs. Close releases the
-// workers.
+// state. A Pool may serve many RunEach and RunBatchContext calls at once. A
+// free worker takes the next job of the call with the fewest jobs running
+// (the least recently served on a tie), so concurrent calls share the
+// workers evenly: a small batch sharing the pool with a large one keeps a
+// worker instead of queueing behind the large one's longer runs. Close
+// releases the workers.
 type Pool struct {
 	workers int
 	wg      sync.WaitGroup
@@ -206,33 +198,6 @@ func (p *Pool) RunBatchContext(ctx context.Context, jobs []Job) []Result {
 		out[i] = r
 	})
 	return out
-}
-
-// RunBatch executes every job without cancellation; see RunBatchContext.
-func (p *Pool) RunBatch(jobs []Job) []Result {
-	//ringvet:ignore ctxflow -- v1-style convenience wrapper documented as running without cancellation; RunBatchContext is the ctx-aware form
-	return p.RunBatchContext(context.Background(), jobs)
-}
-
-// RunBatch executes the jobs on a transient pool.
-func RunBatch(jobs []Job, opts Options) []Result {
-	//ringvet:ignore ctxflow -- v1-style convenience wrapper documented as running without cancellation; RunBatchContext is the ctx-aware form
-	return RunBatchContext(context.Background(), jobs, opts)
-}
-
-// RunBatchContext executes the jobs on a transient pool under ctx.
-func RunBatchContext(ctx context.Context, jobs []Job, opts Options) []Result {
-	p := NewPool(opts.Workers)
-	defer p.Close()
-	return p.RunBatchContext(ctx, jobs)
-}
-
-// RunEach executes the jobs on a transient pool, streaming each Result to
-// deliver in completion order; see Pool.RunEach.
-func RunEach(ctx context.Context, jobs []Job, opts Options, deliver func(idx int, res Result)) {
-	p := NewPool(opts.Workers)
-	defer p.Close()
-	p.RunEach(ctx, jobs, deliver)
 }
 
 // worker is the reusable state one pool goroutine owns: one ring.RunState,

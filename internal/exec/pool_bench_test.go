@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -42,7 +43,7 @@ func runSerial(tb testing.TB, rec core.Recognizer, jobs []Job) {
 }
 
 // TestBatchThroughput enforces the headline speedup: with at least four
-// cores, the pooled RunBatch must push at least 3× the words/sec of the
+// cores, the pooled batch must push at least 3× the words/sec of the
 // serial per-run loop at n=1024. On smaller machines the parallel speedup
 // cannot exist and the test skips.
 func TestBatchThroughput(t *testing.T) {
@@ -62,7 +63,7 @@ func TestBatchThroughput(t *testing.T) {
 
 	// Warm both paths (page cache, pool state, scheduler buffers).
 	runSerial(t, rec, jobs[:8])
-	pool.RunBatch(jobs[:8])
+	pool.RunBatchContext(context.Background(), jobs[:8])
 
 	// Best of two measurements per path, to shrug off one-off scheduler or
 	// GC hiccups on shared CI runners.
@@ -79,7 +80,7 @@ func TestBatchThroughput(t *testing.T) {
 	}
 	serialDur := timeIt(func() { runSerial(t, rec, jobs) })
 	pooledDur := timeIt(func() {
-		for i, r := range pool.RunBatch(jobs) {
+		for i, r := range pool.RunBatchContext(context.Background(), jobs) {
 			if r.Err != nil {
 				t.Fatalf("job %d: %v", i, r.Err)
 			}
@@ -90,12 +91,12 @@ func TestBatchThroughput(t *testing.T) {
 	t.Logf("n=%d words=%d cores=%d: serial %v, pooled %v, speedup %.2fx",
 		len(jobs[0].Word), len(jobs), cores, serialDur, pooledDur, ratio)
 	if ratio < 3.0 {
-		t.Errorf("pooled RunBatch is %.2fx serial, want >= 3x on %d cores", ratio, cores)
+		t.Errorf("pooled batch is %.2fx serial, want >= 3x on %d cores", ratio, cores)
 	}
 }
 
-// TestBatchAllocatesLessThanSerial pins the state-reuse payoff in the spirit
-// of TestLoopAllocatesLessThanSeedLoop: per word at n=1024, the pooled path
+// TestBatchAllocatesLessThanSerial pins the state-reuse payoff: per word at
+// n=1024, the pooled path
 // (reused stats, contexts and scheduler queues, plus the result snapshot)
 // must allocate strictly less than the per-run path it replaces. The margin
 // is the engine bookkeeping only — the algorithm's own message allocations
@@ -109,9 +110,9 @@ func TestBatchAllocatesLessThanSerial(t *testing.T) {
 
 	pool := NewPool(1)
 	defer pool.Close()
-	pool.RunBatch(jobs) // warm the worker state
+	pool.RunBatchContext(context.Background(), jobs) // warm the worker state
 	pooled := testing.AllocsPerRun(5, func() {
-		for i, r := range pool.RunBatch(jobs) {
+		for i, r := range pool.RunBatchContext(context.Background(), jobs) {
 			if r.Err != nil {
 				t.Fatalf("job %d: %v", i, r.Err)
 			}
@@ -125,8 +126,8 @@ func TestBatchAllocatesLessThanSerial(t *testing.T) {
 }
 
 // BenchmarkRunBatch is the words/sec throughput benchmark of the acceptance
-// criteria: serial per-run loop vs pooled RunBatch at n=1024, one word per
-// op so ns/op is ns/word.
+// criteria: serial per-run loop vs pooled RunBatchContext at n=1024, one
+// word per op so ns/op is ns/word.
 func BenchmarkRunBatch(b *testing.B) {
 	rec, jobs := throughputWorkload(b, 64)
 	b.Run("serial", func(b *testing.B) {
@@ -137,7 +138,7 @@ func BenchmarkRunBatch(b *testing.B) {
 	})
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		pool := NewPool(workers)
-		pool.RunBatch(jobs) // warm
+		pool.RunBatchContext(context.Background(), jobs) // warm
 		b.Run("pooled/workers="+itoa(workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; {
@@ -145,7 +146,7 @@ func BenchmarkRunBatch(b *testing.B) {
 				if rem := b.N - i; rem < len(batch) {
 					batch = jobs[:rem]
 				}
-				for _, r := range pool.RunBatch(batch) {
+				for _, r := range pool.RunBatchContext(context.Background(), batch) {
 					if r.Err != nil {
 						b.Fatal(r.Err)
 					}

@@ -257,7 +257,7 @@ func (l *linkQueues) reset(links int) {
 // alloc takes an entry from the freelist (or grows the pool) and stores the
 // payload in it.
 //
-//ring:hotpath guard=TestLoopAllocatesLessThanSeedLoop
+//ring:hotpath guard=TestFaultScheduleAllocRegressionGuard
 func (l *linkQueues) alloc(p bits.String) int32 {
 	if e := l.freeHead; e >= 0 {
 		l.freeHead = l.next[e]
@@ -265,9 +265,9 @@ func (l *linkQueues) alloc(p bits.String) int32 {
 		l.next[e] = -1
 		return e
 	}
-	//ringvet:ignore hotpathalloc -- pool growth is first-run amortized; steady state serves from the freelist above
+	//ringvet:ignore allocflow -- pool growth is first-run amortized; steady state serves from the freelist above
 	l.payload = append(l.payload, p)
-	//ringvet:ignore hotpathalloc -- grows in lockstep with payload; same first-run amortization
+	//ringvet:ignore allocflow -- grows in lockstep with payload; same first-run amortization
 	l.next = append(l.next, -1)
 	return int32(len(l.payload) - 1)
 }
@@ -277,7 +277,7 @@ func (l *linkQueues) alloc(p bits.String) int32 {
 // link id matching d (link == linkIndex(d.To, d.From)); the endpoints are not
 // stored.
 //
-//ring:hotpath guard=TestLoopAllocatesLessThanSeedLoop
+//ring:hotpath guard=TestFaultScheduleAllocRegressionGuard
 func (l *linkQueues) push(link int, d Delivery) (wasEmpty bool) {
 	e := l.alloc(d.Payload)
 	if t := l.tail[link]; t >= 0 {
@@ -296,7 +296,7 @@ func (l *linkQueues) push(link int, d Delivery) (wasEmpty bool) {
 
 // pop dequeues the head of the link's queue, recycling its entry.
 //
-//ring:hotpath guard=TestLoopAllocatesLessThanSeedLoop
+//ring:hotpath guard=TestFaultScheduleAllocRegressionGuard
 func (l *linkQueues) pop(link int) Delivery {
 	e := l.head[link]
 	l.head[link] = l.next[e]

@@ -240,6 +240,12 @@ func (s *lossyScheduler) Next() (Delivery, bool) {
 // count. The duplicate's payload is snapshotted at schedule time: the
 // original may alias the sender's scratch writer, which the sender is free
 // to overwrite once its message has been delivered.
+//
+// The snapshots are appended to dupBytes and never overwritten within a run,
+// because a receiver may forward a delivered duplicate's payload as it is.
+// Later runs reuse the bytes, under the shrink policy linkQueues applies to
+// its entry pool, so a warmed scheduler schedules duplicates without
+// allocating.
 type duplicatingScheduler struct {
 	seed    int64
 	dupRate float64
@@ -247,10 +253,13 @@ type duplicatingScheduler struct {
 	rng        *rand.Rand
 	links      linkQueues
 	cursor     int
-	dup        []bits.String // pending duplicate per link
+	dup        []bits.String // pending duplicate per link, a view into dupBytes
 	dupSet     []bool
 	dupPending int
 	faults     FaultReport
+
+	dupBytes          []byte // this run's duplicate payloads, in schedule order
+	oversizedDupBytes int
 }
 
 // NewDuplicatingScheduler returns the seeded at-least-once schedule. Rates
@@ -290,6 +299,12 @@ func (s *duplicatingScheduler) Reset(links int) {
 	}
 	s.dupPending = 0
 	s.faults = FaultReport{}
+	// The bytes the last run used are the peak it needed: they only grow
+	// within a run.
+	if shouldShrink(cap(s.dupBytes), len(s.dupBytes), &s.oversizedDupBytes) {
+		s.dupBytes = nil
+	}
+	s.dupBytes = s.dupBytes[:0]
 }
 
 func (s *duplicatingScheduler) Push(link int, d Delivery) { s.links.push(link, d) }
@@ -324,7 +339,10 @@ func (s *duplicatingScheduler) Next() (Delivery, bool) {
 		}
 		d := s.links.pop(link)
 		if s.rng.Float64() < s.dupRate {
-			s.dup[link] = d.Payload.Clone()
+			start := len(s.dupBytes)
+			//ringvet:ignore allocflow -- growth is first-run amortized; later runs reuse the bytes (see Reset)
+			s.dupBytes = append(s.dupBytes, d.Payload.Raw()...)
+			s.dup[link] = bits.View(s.dupBytes[start:], d.Payload.Len())
 			s.dupSet[link] = true
 			s.dupPending++
 			s.faults.Duplicates++

@@ -37,7 +37,7 @@ func (lp *loopState) decide(proc int, v Verdict) error {
 	}
 	lp.verdict = v
 	if lp.cfg.RecordTrace {
-		//ringvet:ignore hotpathalloc -- trace recording is opt-in and excluded from the alloc budget
+		//ringvet:ignore allocflow -- trace recording is opt-in and excluded from the alloc budget
 		lp.trace = append(lp.trace, Event{Seq: lp.seq, Kind: EventVerdict, Processor: proc, Verdict: v})
 		lp.seq++
 	}
@@ -70,7 +70,7 @@ func (lp *loopState) traceSend(fromProc int, s Send) bits.String {
 // off never constructs an Event.
 //
 //ring:deterministic
-//ring:hotpath guard=TestEngineLoopAllocRegressionGuard,TestLoopAllocatesLessThanSeedLoop
+//ring:hotpath guard=TestEngineLoopAllocRegressionGuard
 func runLoop(cfg Config, nodes []Node, sched Scheduler, st *RunState) (*Result, error) {
 	return runLoopFrom(cfg, nodes, sched, st, CheckpointRun{})
 }
@@ -82,7 +82,7 @@ func runLoop(cfg Config, nodes []Node, sched Scheduler, st *RunState) (*Result, 
 // compare for the capture boundary and nothing for resume.
 //
 //ring:deterministic
-//ring:hotpath guard=TestEngineLoopAllocRegressionGuard,TestLoopAllocatesLessThanSeedLoop,TestCheckpointResumeAllocRegressionGuard
+//ring:hotpath guard=TestEngineLoopAllocRegressionGuard,TestCheckpointResumeAllocRegressionGuard
 func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run CheckpointRun) (*Result, error) {
 	cfg, err := cfg.normalize(len(nodes))
 	if err != nil {
@@ -108,7 +108,6 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 	n := len(nodes)
 	lp := &st.loop
 	lp.reset(cfg, n)
-	//ringvet:ignore hotpathalloc -- a pointer goes into the interface word as is; nothing is boxed
 	contexts := st.resetContexts(n, lp)
 
 	sched.Reset(numLinks(n))
@@ -143,7 +142,7 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 				continue
 			}
 			if cfg.RecordTrace {
-				//ringvet:ignore hotpathalloc -- trace recording is opt-in and excluded from the alloc budget
+				//ringvet:ignore allocflow -- trace recording is opt-in and excluded from the alloc budget
 				lp.trace = append(lp.trace, Event{Seq: lp.seq, Kind: EventStart, Processor: i})
 				lp.seq++
 			}
@@ -233,7 +232,7 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 		if cfg.RecordTrace {
 			// A payload popped from the FIFO arena is recycled a couple of
 			// deliveries later; the trace outlives that, so snapshot it.
-			//ringvet:ignore hotpathalloc -- trace recording is opt-in and excluded from the alloc budget
+			//ringvet:ignore allocflow -- trace recording is opt-in and excluded from the alloc budget
 			lp.trace = append(lp.trace, Event{Seq: lp.seq, Kind: EventReceive, Processor: to, Dir: from, Payload: payload.Clone()})
 			lp.seq++
 		}

@@ -116,7 +116,7 @@ func (s *randomScheduler) forced()    { s.owed++ }
 
 // Push enqueues d and tracks the link on the non-empty list.
 //
-//ring:hotpath guard=TestLoopAllocatesLessThanSeedLoop
+//ring:hotpath guard=TestEngineLoopAllocRegressionGuard
 func (s *randomScheduler) Push(link int, d Delivery) {
 	if s.links.push(link, d) {
 		//ring:prealloc -- nonEmpty keeps its capacity across Reset; growth is first-run only
@@ -128,7 +128,7 @@ func (s *randomScheduler) Push(link int, d Delivery) {
 // is seeded per run, so the schedule is reproducible.
 //
 //ring:deterministic
-//ring:hotpath guard=TestLoopAllocatesLessThanSeedLoop,TestEngineLoopAllocRegressionGuard
+//ring:hotpath guard=TestEngineLoopAllocRegressionGuard
 func (s *randomScheduler) Next() (Delivery, bool) {
 	if len(s.nonEmpty) == 0 {
 		return Delivery{}, false

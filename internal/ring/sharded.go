@@ -453,7 +453,7 @@ func (wk *shardWorker) loop(r *shardRun, w int, contexts []Context) {
 		if sinceBatch == budgetBatch {
 			sinceBatch = 0
 			if r.delivered.Add(budgetBatch) > int64(r.cfg.MaxMessages) {
-				//ringvet:ignore hotpathalloc -- error construction ends the run; never on the steady-state path
+				//ringvet:ignore allocflow -- error construction ends the run; never on the steady-state path
 				wk.err = fmt.Errorf("%w: %d messages", ErrMessageBudgetExceeded, r.cfg.MaxMessages)
 				r.stop()
 				return
@@ -470,7 +470,7 @@ func (wk *shardWorker) loop(r *shardRun, w int, contexts []Context) {
 		}
 		sends, err := r.nodes[d.To].Receive(&contexts[d.To], d.From, d.Payload)
 		if err != nil {
-			//ringvet:ignore hotpathalloc -- error construction ends the run; never on the steady-state path
+			//ringvet:ignore allocflow -- error construction ends the run; never on the steady-state path
 			wk.err = fmt.Errorf("ring: receive at processor %d: %w", d.To, err)
 			r.stop()
 			return
