@@ -296,7 +296,7 @@ func BenchmarkMicroCountRun(b *testing.B) {
 // iteration — the closest thing to "regenerate every table" under -bench.
 func BenchmarkFullSuiteQuick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := bench.RunAll(io.Discard, bench.SuiteQuick); err != nil {
+		if _, err := bench.RunAllTables(io.Discard, bench.SuiteQuick); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -157,17 +157,26 @@ func TestClientStreamEarlyBreak(t *testing.T) {
 // instead of a race between the workers and the consumer. It waits on the
 // run's own context, the one the pool dispatches under: a canceled parent
 // closes its Done channel before it cancels the contexts derived from it.
+// With cancel set, the first run cancels the call itself before it closes
+// started, and every later run waits for started, so no other worker can
+// finish a word between the first run's start and the cancel.
 type holdFirstRun struct {
 	ring.Engine
-	started chan struct{} // closed when the first run begins
+	started chan struct{}      // closed when the first run begins
+	cancel  context.CancelFunc // if set, called by the first run
 	runs    atomic.Int64
 }
 
 func (e *holdFirstRun) Run(cfg ring.Config, nodes []ring.Node) (*ring.Result, error) {
 	if e.runs.Add(1) == 1 {
+		if e.cancel != nil {
+			e.cancel()
+		}
 		close(e.started)
 		<-cfg.Ctx.Done()
 		cfg.Ctx = nil // the held run completes despite the cancel
+	} else {
+		<-e.started
 	}
 	return e.Engine.Run(cfg, nodes)
 }
@@ -223,17 +232,20 @@ func TestClientStreamCancelMidway(t *testing.T) {
 }
 
 // TestClientBatchCancelKeepsPartialResults pins the serving-layer contract of
-// the tentpole: canceling a batch returns promptly, keeps the reports that
-// finished, marks the rest ErrCanceled, and leaks no worker goroutines.
+// Batch: canceling a batch returns promptly, keeps the reports that
+// finished, marks the rest ErrCanceled, and leaks no worker goroutines. The
+// batch's first run cancels the context itself, so the cancel lands while
+// the batch is running however fast the two workers are; a wall-clock timer
+// would let a fast batch finish before it fired.
 func TestClientBatchCancelKeepsPartialResults(t *testing.T) {
 	before := runtime.NumGoroutine()
-	client, err := NewClient("three-counters", "", WithWorkers(2))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	engine := &holdFirstRun{Engine: ring.NewSequentialEngine(), started: make(chan struct{}), cancel: cancel}
+	client, err := NewClientWith(core.NewThreeCounters(), WithWorkers(2), WithEngine(engine))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	time.AfterFunc(5*time.Millisecond, cancel)
 	words := make([]Word, 256)
 	for i := range words {
 		words[i] = bigWord(48)
@@ -260,8 +272,10 @@ func TestClientBatchCancelKeepsPartialResults(t *testing.T) {
 	if completed+canceled != len(words) {
 		t.Fatalf("completed=%d canceled=%d, want %d total", completed, canceled, len(words))
 	}
-	if canceled == 0 {
-		t.Skip("batch finished before the cancel landed; nothing to assert")
+	// The held first run completes; the other worker can finish at most the
+	// one word it had in flight when the cancel landed.
+	if completed < 1 || canceled < len(words)-2 {
+		t.Errorf("completed=%d canceled=%d: a cancel during the first run should complete 1 or 2 words and cancel the rest", completed, canceled)
 	}
 	// Closing the client must wind down every pool worker goroutine.
 	client.Close()
@@ -539,5 +553,64 @@ func TestClientKeptReportsSurviveLaterBatches(t *testing.T) {
 			}
 		}
 		c.Close()
+	}
+}
+
+// TestWithAllowFaultsOptsIntoWeakerSchedules pins the facade's fault opt-in
+// on every entry point. Under a schedule weaker than the algorithm tolerates
+// a raw recognizer is refused with ErrDeliveryNotTolerated; WithAllowFaults
+// lets the same runs proceed, ending in a verdict with the fault accounting
+// attached or in a typed run error, never in the refusal. Seed 1 duplicates
+// two frames of each word under "duplicating".
+func TestWithAllowFaultsOptsIntoWeakerSchedules(t *testing.T) {
+	ctx := context.Background()
+	words := []Word{WordFromString("000111222"), WordFromString("000000111111222222")}
+	for _, schedule := range []string{"duplicating", "crash-repair"} {
+		newClient := func(opts ...Option) *Client {
+			c, err := NewClient("three-counters", "", append([]Option{WithSchedule(schedule), WithSeed(1), WithWorkers(1)}, opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return c
+		}
+
+		refusing := newClient()
+		if _, err := refusing.Recognize(ctx, words[0]); !errors.Is(err, ErrDeliveryNotTolerated) {
+			t.Errorf("%s Recognize without WithAllowFaults: err = %v, want ErrDeliveryNotTolerated", schedule, err)
+		}
+		for i, r := range refusing.Batch(ctx, words) {
+			if !errors.Is(r.Err, ErrDeliveryNotTolerated) {
+				t.Errorf("%s Batch word %d without WithAllowFaults: err = %v, want ErrDeliveryNotTolerated", schedule, i, r.Err)
+			}
+		}
+		for i, r := range refusing.Stream(ctx, words) {
+			if !errors.Is(r.Err, ErrDeliveryNotTolerated) {
+				t.Errorf("%s Stream word %d without WithAllowFaults: err = %v, want ErrDeliveryNotTolerated", schedule, i, r.Err)
+			}
+		}
+
+		allowing := newClient(WithAllowFaults(true))
+		check := func(entry string, i int, rep *Report, err error) {
+			t.Helper()
+			switch {
+			case errors.Is(err, ErrDeliveryNotTolerated):
+				t.Errorf("%s %s word %d with WithAllowFaults was refused: %v", schedule, entry, i, err)
+			case err != nil:
+				// A typed run error is a faithful outcome of a faulty network.
+			case rep.Faults == nil:
+				t.Errorf("%s %s word %d: completed run has no fault report", schedule, entry, i)
+			case schedule == "duplicating" && rep.Faults.Duplicates == 0:
+				t.Errorf("%s %s word %d: no duplicate fired (%+v)", schedule, entry, i, *rep.Faults)
+			}
+		}
+		rep, err := allowing.Recognize(ctx, words[0])
+		check("Recognize", 0, rep, err)
+		for i, r := range allowing.Batch(ctx, words) {
+			check("Batch", i, r.Report, r.Err)
+		}
+		for i, r := range allowing.Stream(ctx, words) {
+			check("Stream", i, r.Report, r.Err)
+		}
 	}
 }

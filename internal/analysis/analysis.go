@@ -108,14 +108,6 @@ func (p *Pass) Prealloc(pos token.Pos) bool {
 	return p.marks.lineMarked(p.Fset, pos, markPrealloc)
 }
 
-// RunAnalyzers runs every analyzer over one target and returns the combined
-// diagnostics sorted by position. The program view the interprocedural
-// analyzers need is built from the single target; use RunProgram when more
-// than one package is in play so cross-package edges resolve.
-func RunAnalyzers(t Target, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunProgram([]Target{t}, analyzers)
-}
-
 // RunProgram builds the whole-program view over the targets, runs every
 // analyzer over every target, and returns the combined diagnostics sorted
 // by position. Analyzer errors (not findings — failures to run) abort the

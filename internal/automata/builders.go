@@ -110,30 +110,3 @@ func NewContainsSubstringDFA(alphabet []rune, pattern []rune) (*DFA, error) {
 	}
 	return d, nil
 }
-
-// NewAllSameLetterDFA returns a DFA over the alphabet accepting words whose
-// letters are all identical (including the empty word).
-func NewAllSameLetterDFA(alphabet []rune) (*DFA, error) {
-	if len(alphabet) == 0 {
-		return nil, fmt.Errorf("%w: empty alphabet", ErrInvalidDFA)
-	}
-	// State 0: empty so far. States 1..k: saw only letter i so far. State k+1: dead.
-	k := len(alphabet)
-	d := NewDFA(k+2, alphabet)
-	d.Start = 0
-	d.SetAccepting(0)
-	dead := State(k + 1)
-	for i, sym := range d.Alphabet {
-		d.SetAccepting(State(i + 1))
-		d.SetTransition(0, sym, State(i+1))
-		d.SetTransition(dead, sym, dead)
-		for j := range d.Alphabet {
-			if i == j {
-				d.SetTransition(State(j+1), sym, State(j+1))
-			} else {
-				d.SetTransition(State(j+1), sym, dead)
-			}
-		}
-	}
-	return d, nil
-}

@@ -95,19 +95,6 @@ func TestContainsSubstringDFA(t *testing.T) {
 	}
 }
 
-func TestAllSameLetterDFA(t *testing.T) {
-	d, err := NewAllSameLetterDFA([]rune{'x', 'y', 'z'})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string]bool{"": true, "x": true, "yyyy": true, "xy": false, "zzzy": false}
-	for w, want := range cases {
-		if got := d.Accepts([]rune(w)); got != want {
-			t.Errorf("allsame(%q) = %v, want %v", w, got, want)
-		}
-	}
-}
-
 func TestDFAValidateCatchesMissingTransitions(t *testing.T) {
 	d := NewDFA(2, []rune{'a'})
 	d.Start = 0

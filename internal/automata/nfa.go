@@ -1,9 +1,6 @@
 package automata
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Epsilon is the pseudo-symbol used for ε-transitions in NFAs.
 const Epsilon rune = 0
@@ -112,25 +109,4 @@ func (n *NFA) Accepts(word []rune) bool {
 		}
 	}
 	return false
-}
-
-// Validate performs basic structural checks.
-func (n *NFA) Validate() error {
-	if n.NumStates <= 0 {
-		return fmt.Errorf("%w: no states", ErrInvalidDFA)
-	}
-	if n.Start < 0 || int(n.Start) >= n.NumStates {
-		return fmt.Errorf("%w: start state out of range", ErrInvalidDFA)
-	}
-	for k, tos := range n.Trans {
-		if k.From < 0 || int(k.From) >= n.NumStates {
-			return fmt.Errorf("%w: transition from invalid state %d", ErrInvalidDFA, k.From)
-		}
-		for _, to := range tos {
-			if to < 0 || int(to) >= n.NumStates {
-				return fmt.Errorf("%w: transition to invalid state %d", ErrInvalidDFA, to)
-			}
-		}
-	}
-	return nil
 }

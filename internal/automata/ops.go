@@ -14,52 +14,18 @@ func Complement(d *DFA) *DFA {
 	return out
 }
 
-// productMode selects the acceptance rule of the product construction.
-type productMode int
-
-const (
-	productIntersect productMode = iota + 1
-	productUnion
-	productDifference
-)
-
-// Intersect returns a DFA for L(a) ∩ L(b). Both inputs must share an
-// alphabet.
-func Intersect(a, b *DFA) (*DFA, error) {
-	return product(a, b, productIntersect)
-}
-
-// Union returns a DFA for L(a) ∪ L(b).
-func Union(a, b *DFA) (*DFA, error) {
-	return product(a, b, productUnion)
-}
-
-// Difference returns a DFA for L(a) \ L(b).
+// Difference returns a DFA for L(a) \ L(b), by the product construction.
+// Both inputs must share an alphabet.
 func Difference(a, b *DFA) (*DFA, error) {
-	return product(a, b, productDifference)
-}
-
-func product(a, b *DFA, mode productMode) (*DFA, error) {
 	if !sameAlphabet(a.Alphabet, b.Alphabet) {
 		return nil, fmt.Errorf("%w: product of DFAs over different alphabets", ErrInvalidDFA)
 	}
-	numStates := a.NumStates * b.NumStates
-	out := NewDFA(numStates, a.Alphabet)
+	out := NewDFA(a.NumStates*b.NumStates, a.Alphabet)
 	id := func(x, y State) State { return State(int(x)*b.NumStates + int(y)) }
 	out.Start = id(a.Start, b.Start)
 	for x := State(0); int(x) < a.NumStates; x++ {
 		for y := State(0); int(y) < b.NumStates; y++ {
-			accA, accB := a.Accepting[x], b.Accepting[y]
-			var acc bool
-			switch mode {
-			case productIntersect:
-				acc = accA && accB
-			case productUnion:
-				acc = accA || accB
-			case productDifference:
-				acc = accA && !accB
-			}
-			if acc {
+			if a.Accepting[x] && !b.Accepting[y] {
 				out.SetAccepting(id(x, y))
 			}
 			for _, sym := range a.Alphabet {
@@ -81,32 +47,4 @@ func IsEmptyLanguage(d *DFA) bool {
 		}
 	}
 	return true
-}
-
-// EnumerateAccepted returns every accepted word of length at most maxLen, in
-// shortlex order. It is a brute-force helper used by tests to cross-check
-// automata against reference language predicates.
-//
-//ring:deterministic
-func EnumerateAccepted(d *DFA, maxLen int) [][]rune {
-	var out [][]rune
-	var cur []rune
-	var rec func(depth int)
-	rec = func(depth int) {
-		if d.Accepts(cur) {
-			word := make([]rune, len(cur))
-			copy(word, cur)
-			out = append(out, word)
-		}
-		if depth == maxLen {
-			return
-		}
-		for _, sym := range d.Alphabet {
-			cur = append(cur, sym)
-			rec(depth + 1)
-			cur = cur[:len(cur)-1]
-		}
-	}
-	rec(0)
-	return out
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // Property-based tests over randomly generated automata: minimization must
-// preserve the language and be idempotent, the boolean constructions must
+// preserve the language and be idempotent, complement and difference must
 // satisfy their defining pointwise laws, and Equivalent must behave like an
 // equivalence relation on the languages involved.
 
@@ -78,14 +78,6 @@ func TestPropertyBooleanConstructionsPointwise(t *testing.T) {
 	for trial := 0; trial < propertyTrials; trial++ {
 		a := RandomDFA(1+rng.Intn(8), alphabetAB(), rng)
 		b := RandomDFA(1+rng.Intn(8), alphabetAB(), rng)
-		inter, err := Intersect(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		uni, err := Union(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
 		diff, err := Difference(a, b)
 		if err != nil {
 			t.Fatal(err)
@@ -93,12 +85,6 @@ func TestPropertyBooleanConstructionsPointwise(t *testing.T) {
 		for i := 0; i < 25; i++ {
 			w := RandomWordOver(alphabetAB(), rng.Intn(10), rng)
 			inA, inB := a.Accepts(w), b.Accepts(w)
-			if inter.Accepts(w) != (inA && inB) {
-				t.Errorf("intersection law fails on %q", string(w))
-			}
-			if uni.Accepts(w) != (inA || inB) {
-				t.Errorf("union law fails on %q", string(w))
-			}
 			if diff.Accepts(w) != (inA && !inB) {
 				t.Errorf("difference law fails on %q", string(w))
 			}

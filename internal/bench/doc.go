@@ -7,7 +7,7 @@
 // tool and the repository-root benchmarks are thin wrappers around this
 // package, so every table can be regenerated from one place.
 //
-// Entry points: Experiments/ByID/RunAll enumerate and run the registry;
+// Entry points: Experiments/ByID/RunAllTables enumerate and run the registry;
 // MeasureRecognizer and MeasureOne sweep one recognizer under MeasureOptions
 // (word kind, engine or schedule+seed, worker fan-out, context); the
 // SetDefault* knobs are how cmd/ringbench routes its -schedule/-workers

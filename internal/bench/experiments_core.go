@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 
 	"ringlang/internal/automata"
 	"ringlang/internal/core"
@@ -237,12 +236,4 @@ func buildUnminimizedDFA(expr string) (*automata.DFA, error) {
 		return nil, err
 	}
 	return automata.Determinize(nfa), nil
-}
-
-// logOf is a tiny helper for note rendering.
-func logOf(n int) float64 {
-	if n < 2 {
-		return 1
-	}
-	return math.Log2(float64(n))
 }

@@ -79,11 +79,10 @@ func ExperimentE8(sizes []int) (*Table, error) {
 			return nil, err
 		}
 		cut := 0
-		if ls, ok := simRes.Stats.PerLink()[[2]int{0, simPt.N - 1}]; ok {
-			cut += ls.Bits
-		}
-		if ls, ok := simRes.Stats.PerLink()[[2]int{simPt.N - 1, 0}]; ok {
-			cut += ls.Bits
+		for _, ls := range simRes.Stats.Links() {
+			if (ls.From == 0 && ls.To == simPt.N-1) || (ls.From == simPt.N-1 && ls.To == 0) {
+				cut += ls.Bits
+			}
 		}
 		overhead := simPt.Bits - directPt.Bits
 		t.AddRow(fmtInt(simPt.N), fmtInt(directPt.Bits), fmtInt(simPt.Bits), fmtInt(overhead),

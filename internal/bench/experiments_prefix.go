@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"ringlang/internal/core"
 	"ringlang/internal/lang"
@@ -54,35 +52,6 @@ func prefixCorpus(alphabet lang.Alphabet, n, shared, count int, rng *rand.Rand) 
 	return seed, siblings
 }
 
-// timedPrefixRuns is timedRuns with a prefix-checkpoint cache attached and a
-// word sequence instead of a single word: iteration i runs words[i mod len].
-// Passing one word measures the steady full-depth resume; passing
-// warmups+iters distinct siblings makes every timed iteration a fresh
-// partial-hit resume (each sibling is visited exactly once).
-func timedPrefixRuns(rec core.Recognizer, words []lang.Word, engine ring.Engine, warmups, iters int, cache *core.PrefixCache) (nsPerOp, allocsPerOp float64, res *ring.Result, err error) {
-	st := ring.NewRunState()
-	opts := core.RunOptions{Engine: engine, State: st, Ctx: defaultCtx, Prefix: cache, Reuse: core.NewNodeReuse()}
-	for i := 0; i < warmups; i++ {
-		if _, err = core.Run(rec, words[i%len(words)], opts); err != nil {
-			return 0, 0, nil, err
-		}
-	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if res, err = core.Run(rec, words[(warmups+i)%len(words)], opts); err != nil {
-			return 0, 0, nil, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	nsPerOp = float64(elapsed.Nanoseconds()) / float64(iters)
-	allocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(iters)
-	return nsPerOp, allocsPerOp, res, nil
-}
-
 // ExperimentE16 is the prefix-checkpoint reuse sweep: the majority algorithm
 // (single pass, binary alphabet — the lightest catalog workload whose words
 // can share prefixes without being equal) timed on the sequential engine in
@@ -106,15 +75,12 @@ func ExperimentE16(sizes []int, suite Suite) (*Table, error) {
 		engine := ring.NewSequentialEngine()
 		shared := n * prefixSharedNum / prefixSharedDen
 		iters := scaleIters(n, suite)
-		warmups := 2 + iters/4
-		if warmups > 8 {
-			warmups = 8
-		}
+		warmups := scaleWarmups(iters)
 		// One sibling per run (warm-up and timed) plus a held-out probe for
 		// the warm-vs-cold cross-check below.
 		seedWord, siblings := prefixCorpus(rec.Language().Alphabet(), n, shared, warmups+iters+1, rng)
 
-		coldNs, coldAllocs, coldRes, err := timedRuns(rec, seedWord, engine, iters)
+		coldNs, coldAllocs, coldRes, err := timedRuns(rec, []lang.Word{seedWord}, engine, warmups, iters, nil)
 		if err != nil {
 			return nil, fmt.Errorf("bench: E16 cold at n=%d: %w", n, err)
 		}
@@ -126,7 +92,7 @@ func ExperimentE16(sizes []int, suite Suite) (*Table, error) {
 		if _, err := core.Run(rec, seedWord, core.RunOptions{Engine: engine, Ctx: defaultCtx, Prefix: sharedCache}); err != nil {
 			return nil, fmt.Errorf("bench: E16 seeding at n=%d: %w", n, err)
 		}
-		sharedNs, sharedAllocs, sharedRes, err := timedPrefixRuns(rec, siblings[:warmups+iters], engine, warmups, iters, sharedCache)
+		sharedNs, sharedAllocs, sharedRes, err := timedRuns(rec, siblings[:warmups+iters], engine, warmups, iters, sharedCache)
 		if err != nil {
 			return nil, fmt.Errorf("bench: E16 warm-shared at n=%d: %w", n, err)
 		}
@@ -138,7 +104,7 @@ func ExperimentE16(sizes []int, suite Suite) (*Table, error) {
 		// checkpoint; this is the pure resume path the allocation guard in
 		// internal/core pins, so its allocs/op must not exceed the cold floor.
 		steadyCache := core.NewPrefixCache(prefixCacheBudget)
-		steadyNs, steadyAllocs, steadyRes, err := timedPrefixRuns(rec, []lang.Word{seedWord}, engine, warmups, iters, steadyCache)
+		steadyNs, steadyAllocs, steadyRes, err := timedRuns(rec, []lang.Word{seedWord}, engine, warmups, iters, steadyCache)
 		if err != nil {
 			return nil, fmt.Errorf("bench: E16 warm-steady at n=%d: %w", n, err)
 		}
@@ -162,8 +128,8 @@ func ExperimentE16(sizes []int, suite Suite) (*Table, error) {
 			return nil, err
 		}
 		for variant, allocs := range map[string]float64{"steady": steadyAllocs, "shared": sharedAllocs} {
-			if allocs > coldAllocs+0.5 {
-				return nil, fmt.Errorf("bench: E16 at n=%d: %s resume allocates %.1f/op, above the cold floor %.1f/op",
+			if allocs > coldAllocs {
+				return nil, fmt.Errorf("bench: E16 at n=%d: %s resume allocates %.0f/op, above the cold floor %.0f/op",
 					n, variant, allocs, coldAllocs)
 			}
 		}
@@ -193,7 +159,7 @@ func ExperimentE16(sizes []int, suite Suite) (*Table, error) {
 				fmtInt(cell.res.Stats.Bits), fmtInt(cell.res.Stats.Messages),
 				fmt.Sprintf("%.0f", cell.ns),
 				fmt.Sprintf("%.2f", cell.ns/float64(n)),
-				fmt.Sprintf("%.1f", cell.allocs),
+				fmt.Sprintf("%.0f", cell.allocs),
 				fmt.Sprintf("%.2fx", coldNs/cell.ns),
 			)
 			table.AddRecord(BenchRecord{

@@ -42,27 +42,32 @@ func scaleIters(n int, suite Suite) int {
 	return iters
 }
 
-// timedRuns executes the recognizer iters times on word with a reused run
-// state, and returns the per-run wall time and steady-state
-// heap allocations plus the (schedule-independent) result of the final run.
-// The run state is reused and the ring is relabelled in place run to run
-// (core.NodeReuse), so the numbers measure the engine loop, not per-run
-// construction. Warm-up runs precede the measurement so neither cold-start
-// growth of the queue, arena and context arrays (that path has its own
-// allocation guards in internal/ring) nor first-touch costs of the process — page faults on fresh
-// heap spans, GC pacing against a not-yet-established live set — pollute the
-// steady-state numbers. One warm-up is not enough for the latter on 2^20
-// rings: the very first large cell otherwise reads several times slower than
-// an identical cell run second.
-func timedRuns(rec core.Recognizer, word lang.Word, engine ring.Engine, iters int) (nsPerOp, allocsPerOp float64, res *ring.Result, err error) {
-	st := ring.NewRunState()
-	opts := core.RunOptions{Engine: engine, State: st, Ctx: defaultCtx, Reuse: core.NewNodeReuse()}
-	warmups := 2 + iters/4
-	if warmups > 8 {
-		warmups = 8
-	}
+// timedRuns executes the recognizer warmups+iters times with a reused run
+// state, iteration i on words[i mod len(words)], and returns the per-run
+// wall time and steady-state heap allocations of the iters timed runs plus
+// the (schedule-independent) result of the final run. The run state is
+// reused and the ring is relabelled in place run to run (core.NodeReuse), so
+// the numbers measure the engine loop, not per-run construction. A non-nil
+// cache attaches a prefix-checkpoint cache: passing one word then measures
+// the steady full-depth resume, and passing warmups+iters distinct siblings
+// makes every timed run a fresh partial-hit resume.
+//
+// Warm-up runs precede the measurement so neither cold-start growth of the
+// queue, arena and context arrays (that path has its own allocation guards
+// in internal/ring) nor first-touch costs of the process — page faults on
+// fresh heap spans, GC pacing against a not-yet-established live set —
+// pollute the steady-state numbers. One warm-up is not enough for the latter
+// on 2^20 rings: the very first large cell otherwise reads several times
+// slower than an identical cell run second.
+//
+// Allocations are counted process-wide, so a stray background allocation
+// could move an average by a fraction; like testing.AllocsPerRun, the count
+// is whole allocations per run (integer division), so a record reads the
+// same on every run of one build.
+func timedRuns(rec core.Recognizer, words []lang.Word, engine ring.Engine, warmups, iters int, cache *core.PrefixCache) (nsPerOp, allocsPerOp float64, res *ring.Result, err error) {
+	opts := core.RunOptions{Engine: engine, State: ring.NewRunState(), Ctx: defaultCtx, Prefix: cache, Reuse: core.NewNodeReuse()}
 	for i := 0; i < warmups; i++ {
-		if _, err = core.Run(rec, word, opts); err != nil {
+		if _, err = core.Run(rec, words[i%len(words)], opts); err != nil {
 			return 0, 0, nil, err
 		}
 	}
@@ -71,16 +76,19 @@ func timedRuns(rec core.Recognizer, word lang.Word, engine ring.Engine, iters in
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		if res, err = core.Run(rec, word, opts); err != nil {
+		if res, err = core.Run(rec, words[(warmups+i)%len(words)], opts); err != nil {
 			return 0, 0, nil, err
 		}
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	nsPerOp = float64(elapsed.Nanoseconds()) / float64(iters)
-	allocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(iters)
+	allocsPerOp = float64((after.Mallocs - before.Mallocs) / uint64(iters))
 	return nsPerOp, allocsPerOp, res, nil
 }
+
+// scaleWarmups is the warm-up count of a timed cell of iters iterations.
+func scaleWarmups(iters int) int { return min(2+iters/4, 8) }
 
 // ExperimentE15 is the large-ring engine sweep: the count algorithm (one
 // Θ(log n)-bit token, one circuit — the lightest Θ(n log n) workload in the
@@ -114,7 +122,7 @@ func ExperimentE15(sizes []int, suite Suite) (*Table, error) {
 		iters := scaleIters(n, suite)
 		wantBits := -1
 		for _, engine := range scaleEngines() {
-			nsPerOp, allocsPerOp, res, err := timedRuns(rec, word, engine, iters)
+			nsPerOp, allocsPerOp, res, err := timedRuns(rec, []lang.Word{word}, engine, scaleWarmups(iters), iters, nil)
 			if err != nil {
 				return nil, fmt.Errorf("bench: E15 %s at n=%d: %w", engine.Name(), n, err)
 			}
@@ -133,7 +141,7 @@ func ExperimentE15(sizes []int, suite Suite) (*Table, error) {
 				perNLogN(res.Stats.Bits, n),
 				fmt.Sprintf("%.0f", nsPerOp),
 				fmt.Sprintf("%.1f", nsPerOp/float64(n)),
-				fmt.Sprintf("%.1f", allocsPerOp),
+				fmt.Sprintf("%.0f", allocsPerOp),
 			)
 			table.AddRecord(BenchRecord{
 				Algorithm:   rec.Name(),

@@ -121,12 +121,6 @@ func SetDefaultContext(ctx context.Context) {
 	defaultCtx = ctx
 }
 
-// DefaultContext returns the context installed by SetDefaultContext
-// (context.Background unless changed); RunAll polls it between experiments.
-func DefaultContext() context.Context {
-	return defaultCtx
-}
-
 // wordForSize produces the input word for one sweep point.
 func wordForSize(language lang.Language, n int, kind WordKind, window int, rng *rand.Rand) (lang.Word, error) {
 	switch kind {

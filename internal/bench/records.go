@@ -26,8 +26,10 @@ type BenchRecord struct {
 	// NsPerOp is the wall-clock nanoseconds per full recognition run,
 	// averaged over the cell's timed iterations.
 	NsPerOp float64 `json:"ns_per_op"`
-	// AllocsPerOp is the heap allocations per run in the steady state (the
-	// run state is warmed before timing), averaged like NsPerOp.
+	// AllocsPerOp is the whole heap allocations per run in the steady state
+	// (the run state is warmed before timing): the timed runs' allocations
+	// divided by their count with integer division, as testing.AllocsPerRun
+	// does, so a stray background allocation cannot move it by a fraction.
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
@@ -48,7 +50,8 @@ type RecordSet struct {
 // WriteRecordsJSON writes the records of the given tables as one indented
 // JSON document. Tables without records (the purely analytical experiments)
 // contribute nothing; the document is deterministic for a fixed machine —
-// only the timing fields vary run to run.
+// only ns_per_op varies run to run, and allocs_per_op only where worker
+// goroutines allocate on their own schedule (E15's sharded cells).
 func WriteRecordsJSON(w io.Writer, suite Suite, tables []*Table) error {
 	set := RecordSet{Suite: "full", Records: []BenchRecord{}}
 	if suite == SuiteQuick {

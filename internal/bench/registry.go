@@ -140,18 +140,12 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (known: %v)", id, known)
 }
 
-// RunAll runs every experiment and renders the tables to w. Each table is
-// rendered as its experiment completes, so a run canceled through
-// SetDefaultContext still leaves every finished table on w; the error of
-// the canceled experiment wraps ring.ErrCanceled.
-func RunAll(w io.Writer, suite Suite) error {
-	_, err := RunAllTables(w, suite)
-	return err
-}
-
-// RunAllTables is RunAll returning the completed tables as well, so callers
-// can post-process them (cmd/ringbench -json collects their BenchRecords).
-// On cancellation the tables rendered so far are returned with the error.
+// RunAllTables runs every experiment, renders the tables to w and returns
+// them, so callers can post-process them (cmd/ringbench -json collects their
+// BenchRecords). Each table is rendered as its experiment completes, so a
+// run canceled through SetDefaultContext still leaves every finished table
+// on w; the tables rendered so far are returned with the error of the
+// canceled experiment, which wraps ring.ErrCanceled.
 func RunAllTables(w io.Writer, suite Suite) ([]*Table, error) {
 	var tables []*Table
 	for _, e := range Experiments() {

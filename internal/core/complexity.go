@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"ringlang/internal/bits"
 	"ringlang/internal/lang"
@@ -37,13 +36,6 @@ func (m ComplexityModel) Contains(n, measuredBits int) bool {
 func (m ComplexityModel) Describe(n, measuredBits int) string {
 	return fmt.Sprintf("%s at n=%d: measured %d bits, envelope [%.0f, %.0f] (%s)",
 		m.Algorithm, n, measuredBits, m.Lower(n), m.Upper(n), m.Claim)
-}
-
-func log2n(n int) float64 {
-	if n < 2 {
-		return 1
-	}
-	return math.Log2(float64(n))
 }
 
 // deltaBits bounds the Elias-δ code length for values up to v.

@@ -50,9 +50,6 @@ func (l *LineSimulation) Language() lang.Language { return l.inner.Language() }
 // ring, but the leader–p_n link carries no messages (verified in tests).
 func (l *LineSimulation) Mode() ring.Mode { return ring.Bidirectional }
 
-// Inner returns the wrapped recognizer.
-func (l *LineSimulation) Inner() Recognizer { return l.inner }
-
 // NewNodes implements Recognizer.
 func (l *LineSimulation) NewNodes(word lang.Word) ([]ring.Node, error) {
 	if len(word) < 2 {

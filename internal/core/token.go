@@ -153,9 +153,6 @@ func (t *TokenRecognizer[S]) Mode() ring.Mode {
 	return ring.Unidirectional
 }
 
-// Passes returns the number of token circulations the algorithm performs.
-func (t *TokenRecognizer[S]) Passes() int { return len(t.spec.Passes) }
-
 // checkWord validates every letter of word before a node is touched: with
 // the spec's CheckLetter when it declares one, otherwise with one ValidWord
 // over the whole word.

@@ -18,15 +18,7 @@ func statsEqual(a, b *ring.Stats) bool {
 		a.Bits != b.Bits || a.MaxMessageBits != b.MaxMessageBits {
 		return false
 	}
-	return reflect.DeepEqual(flattenPerLink(a), flattenPerLink(b))
-}
-
-func flattenPerLink(s *ring.Stats) map[[2]int]ring.LinkStats {
-	out := make(map[[2]int]ring.LinkStats)
-	for k, v := range s.PerLink() {
-		out[k] = *v
-	}
-	return out
+	return reflect.DeepEqual(a.Links(), b.Links())
 }
 
 // TestPropertyBatchMatchesSerial is the batch-equivalence property: batch
@@ -153,11 +145,11 @@ func TestRunBatchResultsAreIndependent(t *testing.T) {
 			t.Fatalf("job %d: %v", i, r.Err)
 		}
 	}
-	snapshot := flattenPerLink(first[0].Stats)
+	snapshot := first[0].Stats.Links()
 	// A second batch on the same worker reuses and resets the state; the
 	// already-returned results must not change.
 	pool.RunBatchContext(context.Background(), []Job{{Rec: rec, Word: w2, Engine: seq, Check: true}})
-	if !reflect.DeepEqual(snapshot, flattenPerLink(first[0].Stats)) {
+	if !reflect.DeepEqual(snapshot, first[0].Stats.Links()) {
 		t.Fatal("a later batch mutated an earlier result's stats")
 	}
 	if first[0].Stats.Bits == first[1].Stats.Bits {

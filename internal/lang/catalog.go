@@ -3,6 +3,7 @@ package lang
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"ringlang/internal/automata"
 )
@@ -13,60 +14,75 @@ import (
 // instead of string matching.
 var ErrUnknownLanguage = errors.New("lang: unknown language")
 
+// catalogRow is one language of the catalog and the names that resolve to
+// it: the listed name first, then its aliases.
+type catalogRow struct {
+	names    []string
+	language Language
+}
+
+// catalog is the ordered table behind ByName, CatalogNames and
+// StandardRegularLanguages, built once on first use: the fixed non-regular
+// languages, the L_g family over StandardGrowthFuncs, then the standard
+// regular set. Languages hold no per-call state, so every caller shares the
+// rows. If a regular language fails to build, the rows before it are kept
+// and the error is returned with them.
+var catalog = sync.OnceValues(func() ([]catalogRow, error) {
+	rows := []catalogRow{
+		{[]string{"wcw"}, NewWcW()},
+		{[]string{"anbncn", "0^k1^k2^k"}, NewAnBnCn()},
+		{[]string{"anbn", "0^k1^k"}, NewAnBn()},
+		{[]string{"dyck"}, NewDyck()},
+		{[]string{"majority"}, NewMajority()},
+		{[]string{"palindrome"}, NewPalindrome()},
+		{[]string{"length-is-square"}, NewPerfectSquareLength()},
+	}
+	for _, g := range StandardGrowthFuncs() {
+		l := NewLg(g)
+		rows = append(rows, catalogRow{[]string{l.Name()}, l})
+	}
+	// The standard regular set exercises a different DFA size per language,
+	// so the ⌈log |Q|⌉ constant of Theorem 1's algorithm varies.
+	for _, def := range []struct {
+		name string
+		dfa  func() (*automata.DFA, error)
+	}{
+		{"even-ones", func() (*automata.DFA, error) { return automata.NewParityDFA(), nil }},
+		{"ones-div-5", func() (*automata.DFA, error) { return automata.NewModCounterDFA(5) }},
+		{"(ab)*", func() (*automata.DFA, error) { return automata.CompileRegexDFA("(ab)*") }},
+		{"ends-abb", func() (*automata.DFA, error) { return automata.CompileRegexDFA("(a|b)*abb") }},
+		{"contains-abbab", func() (*automata.DFA, error) {
+			return automata.NewContainsSubstringDFA([]rune{'a', 'b'}, []rune("abbab"))
+		}},
+		{"length-div-7", func() (*automata.DFA, error) { return automata.NewLengthModDFA([]rune{'a', 'b'}, 7, 0) }},
+	} {
+		dfa, err := def.dfa()
+		if err != nil {
+			return rows, fmt.Errorf("regular language %q: %w", def.name, err)
+		}
+		r, err := NewRegular(def.name, dfa)
+		if err != nil {
+			return rows, err
+		}
+		rows = append(rows, catalogRow{[]string{r.Name()}, r})
+	}
+	return rows, nil
+})
+
 // StandardRegularLanguages returns the fixed set of regular languages used by
-// the E1 experiment and the examples. Each entry exercises a different DFA
-// size so the ⌈log |Q|⌉ constant of Theorem 1's algorithm varies.
+// the E1 experiment and the examples, in catalog order. The slice is the
+// caller's; the languages are shared.
 func StandardRegularLanguages() ([]*Regular, error) {
+	rows, err := catalog()
+	if err != nil {
+		return nil, err
+	}
 	var out []*Regular
-
-	parity, err := NewRegular("even-ones", automata.NewParityDFA())
-	if err != nil {
-		return nil, err
+	for _, row := range rows {
+		if r, ok := row.language.(*Regular); ok {
+			out = append(out, r)
+		}
 	}
-	out = append(out, parity)
-
-	mod5DFA, err := automata.NewModCounterDFA(5)
-	if err != nil {
-		return nil, err
-	}
-	mod5, err := NewRegular("ones-div-5", mod5DFA)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, mod5)
-
-	abStar, err := NewRegularFromRegex("(ab)*", "(ab)*")
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, abStar)
-
-	endsABB, err := NewRegularFromRegex("ends-abb", "(a|b)*abb")
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, endsABB)
-
-	substrDFA, err := automata.NewContainsSubstringDFA([]rune{'a', 'b'}, []rune("abbab"))
-	if err != nil {
-		return nil, err
-	}
-	substr, err := NewRegular("contains-abbab", substrDFA)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, substr)
-
-	lenModDFA, err := automata.NewLengthModDFA([]rune{'a', 'b'}, 7, 0)
-	if err != nil {
-		return nil, err
-	}
-	lenMod, err := NewRegular("length-div-7", lenModDFA)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, lenMod)
-
 	return out, nil
 }
 
@@ -76,54 +92,31 @@ func StandardGrowthFuncs() []GrowthFunc {
 	return []GrowthFunc{GrowthNLogN, GrowthN125, GrowthN15, GrowthN175, GrowthN2}
 }
 
-// ByName looks a language up among the fixed non-regular languages plus the
-// standard regular set; it is used by the cmd tools.
+// ByName looks a language up in the catalog by its listed name or an alias;
+// it is used by the cmd tools. The language returned is shared by every
+// caller.
 func ByName(name string) (Language, error) {
-	switch name {
-	case "wcw":
-		return NewWcW(), nil
-	case "0^k1^k2^k", "anbncn":
-		return NewAnBnCn(), nil
-	case "0^k1^k", "anbn":
-		return NewAnBn(), nil
-	case "dyck":
-		return NewDyck(), nil
-	case "majority":
-		return NewMajority(), nil
-	case "palindrome":
-		return NewPalindrome(), nil
-	case "length-is-square":
-		return NewPerfectSquareLength(), nil
-	}
-	for _, g := range StandardGrowthFuncs() {
-		l := NewLg(g)
-		if l.Name() == name {
-			return l, nil
+	rows, err := catalog()
+	for _, row := range rows {
+		for _, n := range row.names {
+			if n == name {
+				return row.language, nil
+			}
 		}
 	}
-	regs, err := StandardRegularLanguages()
 	if err != nil {
 		return nil, err
-	}
-	for _, r := range regs {
-		if r.Name() == name {
-			return r, nil
-		}
 	}
 	return nil, fmt.Errorf("%w %q", ErrUnknownLanguage, name)
 }
 
-// CatalogNames lists every language name resolvable by ByName.
+// CatalogNames lists every language name resolvable by ByName, aliases
+// aside, in catalog order.
 func CatalogNames() []string {
-	names := []string{"wcw", "anbncn", "anbn", "dyck", "majority", "palindrome", "length-is-square"}
-	for _, g := range StandardGrowthFuncs() {
-		names = append(names, NewLg(g).Name())
-	}
-	regs, err := StandardRegularLanguages()
-	if err == nil {
-		for _, r := range regs {
-			names = append(names, r.Name())
-		}
+	rows, _ := catalog() // a build error keeps the rows before it; ByName reports the error
+	names := make([]string, len(rows))
+	for i, row := range rows {
+		names[i] = row.names[0]
 	}
 	return names
 }

@@ -2,6 +2,8 @@ package lang
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -31,11 +33,8 @@ func TestAlphabetBasics(t *testing.T) {
 
 func TestWordBasics(t *testing.T) {
 	w := WordFromString("aba")
-	if w.Len() != 3 || w.String() != "aba" {
+	if len(w) != 3 || w.String() != "aba" {
 		t.Fatal("word round trip failed")
-	}
-	if !w.Equal(WordFromString("aba")) || w.Equal(WordFromString("abb")) || w.Equal(WordFromString("ab")) {
-		t.Error("Equal misbehaves")
 	}
 	c := w.Clone()
 	c[0] = 'b'
@@ -220,7 +219,7 @@ func TestParityIndexLettersRoundTrip(t *testing.T) {
 			t.Fatalf("LetterIndex(LetterAt(%d) = %U) = %d", i, r, got)
 		}
 		w := Word{r}
-		if back := WordFromString(w.String()); !back.Equal(w) {
+		if back := WordFromString(w.String()); !slices.Equal(back, w) {
 			t.Fatalf("letter %d (%U) came back from a string as %U", i, r, []rune(back))
 		}
 	}
@@ -328,6 +327,57 @@ func TestByNameAndCatalog(t *testing.T) {
 	if _, err := ByName("no-such-language"); err == nil {
 		t.Error("expected error for unknown language")
 	}
+}
+
+// TestCatalogIsBuiltOnce pins the catalog's build-once table: an alias
+// resolves to its listed language, and after the first call ByName of a
+// catalog name allocates nothing and CatalogNames allocates only its result.
+func TestCatalogIsBuiltOnce(t *testing.T) {
+	for alias, name := range map[string]string{"0^k1^k2^k": "anbncn", "0^k1^k": "anbn"} {
+		a, errA := ByName(alias)
+		l, errL := ByName(name)
+		if errA != nil || errL != nil || a != l {
+			t.Errorf("ByName(%q) = %v/%v, want the %q language %v/%v", alias, a, errA, name, l, errL)
+		}
+	}
+	for _, name := range []string{"wcw", "0^k1^k", "L_g[n^1.5]", "ends-abb"} {
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = ByName(name) }); allocs != 0 {
+			t.Errorf("ByName(%q) allocates %.0f times per call, want 0", name, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = CatalogNames() }); allocs != 1 {
+		t.Errorf("CatalogNames allocates %.0f times per call, want 1 (its result)", allocs)
+	}
+}
+
+// TestCatalogSharedAcrossGoroutines reads the shared catalog languages from
+// several goroutines at once; run it with -race.
+func TestCatalogSharedAcrossGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for _, name := range CatalogNames() {
+				l, err := ByName(name)
+				if err != nil {
+					t.Errorf("ByName(%q): %v", name, err)
+					return
+				}
+				if w, ok := l.GenerateMember(16, rng); ok && !l.Contains(w) {
+					t.Errorf("%s: generated member %q is not a member", name, w.String())
+				}
+				if err := l.Alphabet().ValidWord(RandomWord(l.Alphabet(), 8, rng)); err != nil {
+					t.Errorf("%s: random word off its alphabet: %v", name, err)
+				}
+			}
+			if _, err := StandardRegularLanguages(); err != nil {
+				t.Error(err)
+			}
+		}(int64(g))
+	}
+	wg.Wait()
 }
 
 func TestQuickWcWGeneratorAlwaysValid(t *testing.T) {

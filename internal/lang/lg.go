@@ -61,9 +61,6 @@ func (l *Lg) Name() string { return fmt.Sprintf("L_g[%s]", l.growth.Name) }
 // Alphabet implements Language.
 func (l *Lg) Alphabet() Alphabet { return l.alphabet }
 
-// Growth returns the growth function parameterizing the language.
-func (l *Lg) Growth() GrowthFunc { return l.growth }
-
 // Period returns p(n), the period a member word of length n must have.
 func (l *Lg) Period(n int) int {
 	if n <= 1 {

@@ -24,24 +24,6 @@ func (w Word) String() string {
 	return string([]rune(w))
 }
 
-// Len returns the number of letters, i.e. the ring size n.
-func (w Word) Len() int {
-	return len(w)
-}
-
-// Equal reports whether two words are identical.
-func (w Word) Equal(other Word) bool {
-	if len(w) != len(other) {
-		return false
-	}
-	for i := range w {
-		if w[i] != other[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a copy of the word.
 func (w Word) Clone() Word {
 	out := make(Word, len(w))
@@ -85,14 +67,6 @@ func (a Alphabet) Index(l Letter) int {
 // Size returns the number of letters in the alphabet.
 func (a Alphabet) Size() int {
 	return len(a)
-}
-
-// Runes returns the alphabet as a rune slice (copy), for interoperation with
-// the automata package.
-func (a Alphabet) Runes() []rune {
-	out := make([]rune, len(a))
-	copy(out, a)
-	return out
 }
 
 // ErrInvalidWord is wrapped by every error that reports a word no ring can

@@ -143,13 +143,6 @@ type Checkpoint struct {
 // performed — the k of "resume after k deliveries".
 func (cp *Checkpoint) Deliveries() int { return cp.delivered }
 
-// Processors returns the ring size the checkpoint was captured on. A
-// checkpoint only resumes on a ring of exactly this size.
-func (cp *Checkpoint) Processors() int { return cp.n }
-
-// Schedule returns the scheduler name the checkpoint was captured under.
-func (cp *Checkpoint) Schedule() string { return cp.schedule }
-
 // Bytes returns the approximate retained size of the checkpoint, the unit
 // the prefix store's LRU budget is accounted in.
 func (cp *Checkpoint) Bytes() int64 { return cp.bytes }

@@ -166,7 +166,7 @@ func TestCheckpointCopyOnResume(t *testing.T) {
 		if res.Verdict != VerdictAccept {
 			t.Fatalf("resume %d: verdict %v", i, res.Verdict)
 		}
-		if cp.Bytes() != wantBytes || cp.Deliveries() != n/2 || cp.Processors() != n {
+		if cp.Bytes() != wantBytes || cp.Deliveries() != n/2 || cp.n != n {
 			t.Fatalf("resume %d mutated the checkpoint", i)
 		}
 	}

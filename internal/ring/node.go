@@ -104,12 +104,3 @@ func (c *Context) Reject() error {
 	}
 	return c.sink.decide(c.proc, VerdictReject)
 }
-
-// Decide records an explicit verdict value (used by simulation wrappers that
-// replay another algorithm's decision).
-func (c *Context) Decide(v Verdict) error {
-	if !c.isLeader {
-		return ErrNotLeader
-	}
-	return c.sink.decide(c.proc, v)
-}

@@ -401,18 +401,19 @@ func TestPerLinkStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Stats.PerLink()) != n {
-		t.Fatalf("expected %d used links, got %d", n, len(res.Stats.PerLink()))
+	links := res.Stats.Links()
+	if len(links) != n {
+		t.Fatalf("expected %d used links, got %d", n, len(links))
 	}
-	if got := res.Stats.Links(); len(got) != n {
-		t.Fatalf("expected %d links from Links(), got %d", n, len(got))
-	}
-	for key, ls := range res.Stats.PerLink() {
+	for i, ls := range links {
+		if ls.From != i {
+			t.Errorf("link %d is %+v, want links ordered by sender", i, ls)
+		}
 		if ls.Messages != 1 || ls.Bits != 1 {
-			t.Errorf("link %v stats = %+v, want 1 message / 1 bit", key, ls)
+			t.Errorf("link %d stats = %+v, want 1 message / 1 bit", i, ls)
 		}
 		if neighbour(ls.From, Forward, n) != ls.To {
-			t.Errorf("link %v is not a forward ring edge", key)
+			t.Errorf("link %+v is not a forward ring edge", ls)
 		}
 	}
 	min, ok := res.Stats.MinLinkBits()

@@ -25,8 +25,7 @@ type LinkStats struct {
 // dense cache lines per message instead of a 4-field struct slot — and the
 // endpoints are never stored at all, because a link id already encodes its
 // receiver and arrival direction (the sender follows from the ring
-// topology). The map the seed code exposed survives as the lazily-built view
-// returned by PerLink; LinkStats values are materialized only there.
+// topology). LinkStats values are materialized only by Links.
 type Stats struct {
 	// Processors is the ring size n.
 	Processors int
@@ -46,17 +45,10 @@ type Stats struct {
 	// worker, so the arrays need no synchronization beyond the final join.
 	linkMsgs []int32
 	linkBits []int64
-	// view is the cached result of PerLink, invalidated on every record.
-	view map[[2]int]*LinkStats
 
 	// oversizedRuns counts consecutive resets that needed far less per-link
 	// capacity than is retained, driving the shrink policy (see maybeShrink).
 	oversizedRuns int
-}
-
-// newStats allocates a Stats for a ring of n processors.
-func newStats(n int) *Stats {
-	return &Stats{Processors: n}
 }
 
 // reset prepares the Stats for a fresh run on a ring of n processors, keeping
@@ -69,7 +61,6 @@ func (s *Stats) reset(n int) {
 	s.Messages = 0
 	s.Bits = 0
 	s.MaxMessageBits = 0
-	s.view = nil
 	links := numLinks(n)
 	if shouldShrink(cap(s.linkMsgs), links, &s.oversizedRuns) {
 		s.linkMsgs = nil
@@ -115,7 +106,6 @@ func (s *Stats) record(to int, arrival Direction, n int) {
 	link := linkIndex(to, arrival)
 	s.linkMsgs[link]++
 	s.linkBits[link] += int64(n)
-	s.view = nil
 }
 
 // linkStatsAt materializes the LinkStats of one directed link id, deriving
@@ -134,17 +124,18 @@ func (s *Stats) linkStatsAt(link int) LinkStats {
 }
 
 // Links returns the links that carried at least one message, ordered by
-// (From, To) — the PerLink view as a deterministic slice, including its
-// merge of the two link directions that share a key on 1- and 2-rings. The
-// returned slice is freshly allocated and safe to retain.
+// (From, To). On rings of one or two processors the forward and backward
+// link between a pair of processors share a (From, To) key; their traffic is
+// merged into one entry, matching the seed accounting. The returned slice is
+// freshly allocated and safe to retain.
 //
 //ring:deterministic
 func (s *Stats) Links() []LinkStats {
-	view := s.PerLink()
-	out := make([]LinkStats, 0, len(view))
-	//ring:ordered -- collected into a slice and sorted by (From, To) below
-	for _, ls := range view {
-		out = append(out, *ls)
+	out := []LinkStats{}
+	for i := range s.linkMsgs {
+		if s.linkMsgs[i] != 0 {
+			out = append(out, s.linkStatsAt(i))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].From != out[j].From {
@@ -152,35 +143,16 @@ func (s *Stats) Links() []LinkStats {
 		}
 		return out[i].To < out[j].To
 	})
-	return out
-}
-
-// PerLink returns the traffic per directed link, keyed by (From, To) — the
-// view the seed Stats stored directly. It is built on first call and cached
-// until the next record. On rings of one or two processors the forward and
-// backward link between a pair of processors share a (From, To) key; their
-// traffic is merged, matching the seed behaviour.
-func (s *Stats) PerLink() map[[2]int]*LinkStats {
-	if s.view != nil {
-		return s.view
-	}
-	view := make(map[[2]int]*LinkStats)
-	for i := range s.linkMsgs {
-		if s.linkMsgs[i] == 0 {
+	merged := out[:0]
+	for _, ls := range out {
+		if last := len(merged) - 1; last >= 0 && merged[last].From == ls.From && merged[last].To == ls.To {
+			merged[last].Messages += ls.Messages
+			merged[last].Bits += ls.Bits
 			continue
 		}
-		ls := s.linkStatsAt(i)
-		key := [2]int{ls.From, ls.To}
-		if prev, ok := view[key]; ok {
-			prev.Messages += ls.Messages
-			prev.Bits += ls.Bits
-			continue
-		}
-		entry := ls
-		view[key] = &entry
+		merged = append(merged, ls)
 	}
-	s.view = view
-	return view
+	return merged
 }
 
 // Clone returns an independent deep copy. Batch executors that reuse one
@@ -189,7 +161,6 @@ func (s *Stats) PerLink() map[[2]int]*LinkStats {
 //ring:coldpath -- result snapshot, taken once per completed run
 func (s *Stats) Clone() *Stats {
 	c := *s
-	c.view = nil
 	if s.linkMsgs != nil {
 		c.linkMsgs = append([]int32(nil), s.linkMsgs...)
 		c.linkBits = append([]int64(nil), s.linkBits...)
@@ -208,28 +179,25 @@ func (s *Stats) BitsPerProcessor() float64 {
 
 // MinLinkBits returns the smallest bit count over all links that carried
 // traffic, and the link itself; this is the quantity the Theorem 5
-// transformation cuts the ring at. It works on the PerLink view, so a cut on
-// a degenerate 1- or 2-ring sees a processor pair's two directions as one
-// merged link, like the seed accounting did. Ties are broken
-// deterministically towards the lowest (From, To) pair, so the cut link of
-// two identical runs is always the same link. The boolean is false if no
-// link carried any message.
+// transformation cuts the ring at. It scans Links, so a cut on a degenerate
+// 1- or 2-ring sees a processor pair's two directions as one merged link,
+// like the seed accounting did, and ties go to the lowest (From, To) pair:
+// the cut link of two identical runs is always the same link. The boolean is
+// false if no link carried any message.
 //
 //ring:deterministic
 func (s *Stats) MinLinkBits() (LinkStats, bool) {
-	var best *LinkStats
-	//ring:ordered -- the comparison below breaks ties towards the lowest (From, To) pair, so the minimum is order-independent
-	for _, ls := range s.PerLink() {
-		if best == nil || ls.Bits < best.Bits ||
-			(ls.Bits == best.Bits && (ls.From < best.From ||
-				(ls.From == best.From && ls.To < best.To))) {
+	links := s.Links()
+	if len(links) == 0 {
+		return LinkStats{}, false
+	}
+	best := links[0]
+	for _, ls := range links[1:] {
+		if ls.Bits < best.Bits {
 			best = ls
 		}
 	}
-	if best == nil {
-		return LinkStats{}, false
-	}
-	return *best, true
+	return best, true
 }
 
 // EventKind classifies trace events.

@@ -12,6 +12,17 @@ func oneBit() bits.String {
 	return w.String()
 }
 
+// linkAt returns the Links entry of the link from → to, if it carried
+// traffic.
+func linkAt(s *Stats, from, to int) (LinkStats, bool) {
+	for _, ls := range s.Links() {
+		if ls.From == from && ls.To == to {
+			return ls, true
+		}
+	}
+	return LinkStats{}, false
+}
+
 // TestMinLinkBitsDeterministicTieBreak pins the Theorem 5 cut-link choice: on
 // a symmetric-traffic ring every link carries the same number of bits, and
 // the seed implementation picked the winner by map iteration order — a
@@ -38,7 +49,7 @@ func TestMinLinkBitsDeterministicTieBreak(t *testing.T) {
 // TestMinLinkBitsPrefersFewerBits checks the tie-break only applies to actual
 // ties: a strictly cheaper link wins regardless of its position.
 func TestMinLinkBitsPrefersFewerBits(t *testing.T) {
-	s := newStats(4)
+	s := &Stats{Processors: 4}
 	payload := oneBit()
 	// Links (0→1) and (1→2) carry two messages, (2→3) carries one.
 	s.record(1, Backward, payload.Len())
@@ -55,7 +66,7 @@ func TestMinLinkBitsPrefersFewerBits(t *testing.T) {
 // TestStatsResetReuse checks that a reused Stats starts every run from a
 // clean slate while keeping its backing array.
 func TestStatsResetReuse(t *testing.T) {
-	s := newStats(4)
+	s := &Stats{Processors: 4}
 	payload := oneBit()
 	s.record(1, Backward, payload.Len())
 	s.record(0, Backward, payload.Len())
@@ -68,8 +79,8 @@ func TestStatsResetReuse(t *testing.T) {
 	if s.Messages != 0 || s.Bits != 0 || s.MaxMessageBits != 0 {
 		t.Fatalf("reset left totals %d/%d/%d", s.Messages, s.Bits, s.MaxMessageBits)
 	}
-	if len(s.PerLink()) != 0 {
-		t.Fatalf("reset left %d per-link entries", len(s.PerLink()))
+	if links := s.Links(); len(links) != 0 {
+		t.Fatalf("reset left %d per-link entries", len(links))
 	}
 	if _, ok := s.MinLinkBits(); ok {
 		t.Fatal("reset Stats still reports a min link")
@@ -79,41 +90,37 @@ func TestStatsResetReuse(t *testing.T) {
 	if snapshot.Messages != 2 || snapshot.Bits != 2 {
 		t.Fatalf("clone mutated by reset: %+v", snapshot)
 	}
-	if ls, ok := snapshot.PerLink()[[2]int{0, 1}]; !ok || ls.Messages != 1 {
+	if ls, ok := linkAt(snapshot, 0, 1); !ok || ls.Messages != 1 {
 		t.Fatalf("clone lost per-link entry: %+v/%v", ls, ok)
 	}
 
 	// Growing the ring reallocates; shrinking reuses.
 	s.reset(2)
 	s.record(1, Backward, payload.Len())
-	if ls, ok := s.PerLink()[[2]int{0, 1}]; !ok || ls.Bits != 1 {
+	if ls, ok := linkAt(s, 0, 1); !ok || ls.Bits != 1 {
 		t.Fatalf("reuse after shrink broken: %+v/%v", ls, ok)
 	}
 }
 
-// TestPerLinkMergesSharedKeys covers the n=2 bidirectional edge: the forward
+// TestLinksMergesSharedKeys covers the n=2 bidirectional edge: the forward
 // and backward links between the same processor pair share a (From, To) key
-// and the map view must merge them like the seed map did.
-func TestPerLinkMergesSharedKeys(t *testing.T) {
-	s := newStats(2)
+// and Links must merge them like the seed map did.
+func TestLinksMergesSharedKeys(t *testing.T) {
+	s := &Stats{Processors: 2}
 	payload := oneBit()
 	// 0→1 travelling forward (arrives from the receiver's backward side) and
 	// 0→1 travelling backward (arrives from the receiver's forward side).
 	s.record(1, Backward, payload.Len())
 	s.record(1, Forward, payload.Len())
-	view := s.PerLink()
-	if len(view) != 1 {
-		t.Fatalf("expected 1 merged entry, got %d", len(view))
+	links := s.Links()
+	if len(links) != 1 {
+		t.Fatalf("expected 1 merged entry, got %d", len(links))
 	}
-	ls := view[[2]int{0, 1}]
-	if ls == nil || ls.Messages != 2 || ls.Bits != 2 {
-		t.Fatalf("merged entry = %+v, want 2 messages / 2 bits", ls)
+	if ls := links[0]; ls.From != 0 || ls.To != 1 || ls.Messages != 2 || ls.Bits != 2 {
+		t.Fatalf("merged entry = %+v, want link (0,1) with 2 messages / 2 bits", ls)
 	}
-	// Links() and MinLinkBits see the same merged accounting, so the cut
-	// quantity of a degenerate ring matches the seed map's.
-	if links := s.Links(); len(links) != 1 || links[0].Bits != 2 {
-		t.Fatalf("Links() = %v, want one merged link with 2 bits", links)
-	}
+	// MinLinkBits sees the same merged accounting, so the cut quantity of a
+	// degenerate ring matches the seed map's.
 	if min, ok := s.MinLinkBits(); !ok || min.Bits != 2 {
 		t.Fatalf("MinLinkBits = %+v/%v, want the merged 2-bit link", min, ok)
 	}
